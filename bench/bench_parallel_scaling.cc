@@ -140,15 +140,15 @@ void SweepSampling() {
         system->AnswerMonteCarlo(*query, IntDomain(12), 20000, /*seed=*/11);
     const double ms = stopwatch.ElapsedMillis();
     if (!answer.ok()) continue;
-    if (threads == 1) base_ms = ms;
-    // Threads >= 2 share one counter-based stream layout; the thread-1
-    // path keeps the historical stream, so only the multi-threaded rows
-    // must agree exactly.
-    if (threads == 2) reference_tuples = answer->confidences.size();
-    const bool comparable = threads >= 2 && reference_tuples != 0;
+    // Every thread count shares one counter-based stream layout, so all
+    // rows must agree exactly.
+    if (threads == 1) {
+      base_ms = ms;
+      reference_tuples = answer->confidences.size();
+    }
     std::printf("%8zu | %10.2f | %7.2fx | %10zu%s\n", threads, ms,
                 base_ms / std::max(ms, 1e-6), answer->confidences.size(),
-                comparable && answer->confidences.size() != reference_tuples
+                answer->confidences.size() != reference_tuples
                     ? "  !! MISMATCH"
                     : "");
   }

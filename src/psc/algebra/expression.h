@@ -17,15 +17,83 @@ namespace psc {
 class AlgebraExpr;
 using AlgebraExprPtr = std::shared_ptr<const AlgebraExpr>;
 
+/// \brief A world D ⊆ U as one bit per fact id (index into the fact
+/// universe U): the world representation lineage is tested against.
+class FactBitset {
+ public:
+  explicit FactBitset(size_t universe_size = 0)
+      : words_((universe_size + 63) / 64, 0) {}
+
+  void Set(size_t id) { words_[id >> 6] |= uint64_t{1} << (id & 63); }
+  void Reset(size_t id) { words_[id >> 6] &= ~(uint64_t{1} << (id & 63)); }
+  bool Test(size_t id) const { return (words_[id >> 6] >> (id & 63)) & 1; }
+
+ private:
+  std::vector<uint64_t> words_;
+};
+
+/// \brief A plan evaluated once over a fact universe U, keeping how each
+/// answer tuple was derived (see AlgebraExpr::EvalLineage). Answers any
+/// world D ⊆ U by bit tests.
+class Lineage {
+ public:
+  /// Fact ids (indices into U), ascending, that jointly derive a tuple.
+  using Derivation = std::vector<uint32_t>;
+
+  /// |U|.
+  size_t universe_size() const { return universe_size_; }
+  /// The plan's output arity.
+  size_t arity() const { return arity_; }
+  /// Q(U), in Relation order.
+  const std::vector<Tuple>& tuples() const { return tuples_; }
+
+  /// Whether tuples()[i] ∈ Q(D): some derivation of it lies inside D.
+  bool Contains(size_t i, const FactBitset& world) const {
+    return answers_.Holds(i, world);
+  }
+
+  /// The error EvalInWorld(D) fails with, or OK. Errors are kept in the
+  /// order EvalInWorld meets them; D fails with the first one it holds a
+  /// derivation of.
+  Status ErrorIn(const FactBitset& world) const;
+
+ private:
+  friend class AlgebraExpr;
+
+  /// Derivation lists of numbered items in flat arrays: item i's
+  /// derivations are d ∈ [item_begin_[i], item_begin_[i + 1]), and
+  /// derivation d's fact ids are ids_[derivation_begin_[d] ...
+  /// derivation_begin_[d + 1]).
+  class DerivationTable {
+   public:
+    void Add(const std::vector<Derivation>& derivations);
+    bool Holds(size_t i, const FactBitset& world) const;
+
+   private:
+    std::vector<uint32_t> item_begin_{0};
+    std::vector<uint32_t> derivation_begin_{0};
+    std::vector<uint32_t> ids_;
+  };
+
+  size_t universe_size_ = 0;
+  size_t arity_ = 0;
+  std::vector<Tuple> tuples_;
+  DerivationTable answers_;
+  std::vector<Status> errors_;
+  DerivationTable error_derivations_;
+};
+
 /// \brief A relational-algebra query plan over global relations.
 ///
-/// Two evaluation modes:
+/// Evaluation modes:
 ///  * `EvalConfidence` — the Definition 5.1 compositional semantics over
 ///    confidence-annotated base relations (projection ⊕, selection
 ///    pass-through, product ·, plus the join/union extensions);
 ///  * `EvalInWorld` — plain set semantics inside one concrete possible
-///    world, used to compute exact answer-tuple confidences by averaging
-///    over poss(S) (Theorem 5.1's left-hand side).
+///    world (Theorem 5.1's left-hand side averages it over poss(S));
+///  * `EvalLineage` — set semantics over a whole fact universe with the
+///    derivations of every tuple, which answers every world inside it at
+///    once; exact and Monte-Carlo answering use it.
 class AlgebraExpr : public std::enable_shared_from_this<AlgebraExpr> {
  public:
   enum class Kind { kBase, kProject, kSelect, kProduct, kJoin, kUnion };
@@ -62,6 +130,20 @@ class AlgebraExpr : public std::enable_shared_from_this<AlgebraExpr> {
   /// Set-semantics evaluation inside one world (absent relations = empty).
   Result<Relation> EvalInWorld(const Database& db) const;
 
+  /// \brief Evaluates the plan once over the fact universe `universe` and
+  /// returns every tuple of Q(U) with its derivations (positive lineage).
+  ///
+  /// Every operator here is monotone, so for any world D ⊆ U,
+  /// Q(D) = {t ∈ Q(U) : some derivation of t lies inside D}. A tuple on
+  /// which an operator fails is kept as an error with its derivations,
+  /// so the errors of EvalInWorld(D) follow the same rule
+  /// (Lineage::ErrorIn). A difference operator would break monotonicity
+  /// and need boolean lineage. A selection over a product keeps only the
+  /// pairs it selects, so the product is never built; when its first
+  /// condition equates a left and a right column, only agreeing pairs are
+  /// formed. Plan errors never fail the call.
+  Result<Lineage> EvalLineage(const std::vector<Fact>& universe) const;
+
   /// \brief Certain-semantics evaluation over a *naive table*: a database
   /// whose values satisfying `is_null` are labeled nulls standing for
   /// unknown constants.
@@ -80,6 +162,13 @@ class AlgebraExpr : public std::enable_shared_from_this<AlgebraExpr> {
 
  private:
   AlgebraExpr() = default;
+
+  /// EvalLineage's recursion: Q over U as tuple → derivations, adding the
+  /// plan errors met to the build's lineage in EvalInWorld order.
+  using LineageRelation = std::map<Tuple, std::vector<Lineage::Derivation>>;
+  Result<LineageRelation> LineageOf(
+      const std::map<std::string, LineageRelation>& base,
+      Lineage* lineage) const;
 
   Kind kind_ = Kind::kBase;
   size_t output_arity_ = 0;

@@ -52,6 +52,8 @@ Result<Tuple> ProjectTuple(const Tuple& tuple,
   return out;
 }
 
+}  // namespace
+
 Result<bool> EvalConditions(const Tuple& tuple,
                             const std::vector<Condition>& conditions) {
   for (const Condition& condition : conditions) {
@@ -61,7 +63,43 @@ Result<bool> EvalConditions(const Tuple& tuple,
   return true;
 }
 
-}  // namespace
+Result<Tuple> ProjectRelationTuple(const Tuple& tuple, size_t arity,
+                                   const std::vector<size_t>& columns) {
+  if (tuple.size() != arity) {
+    return Status::InvalidArgument("inconsistent tuple arity in relation");
+  }
+  return ProjectTuple(tuple, columns);
+}
+
+std::vector<Condition> EquiJoinConditions(
+    size_t left_arity,
+    const std::vector<std::pair<size_t, size_t>>& join_columns) {
+  std::vector<Condition> conditions;
+  conditions.reserve(join_columns.size());
+  for (const auto& [left_col, right_col] : join_columns) {
+    conditions.push_back(
+        Condition::WithColumn(left_col, "Eq", left_arity + right_col));
+  }
+  return conditions;
+}
+
+std::vector<size_t> EquiJoinColumns(
+    size_t left_arity, size_t right_arity,
+    const std::vector<std::pair<size_t, size_t>>& join_columns) {
+  std::vector<size_t> columns;
+  for (size_t i = 0; i < left_arity; ++i) columns.push_back(i);
+  for (size_t j = 0; j < right_arity; ++j) {
+    bool is_join_column = false;
+    for (const auto& [left_col, right_col] : join_columns) {
+      if (right_col == j) {
+        is_join_column = true;
+        break;
+      }
+    }
+    if (!is_join_column) columns.push_back(left_arity + j);
+  }
+  return columns;
+}
 
 Result<ProbRelation> Project(const ProbRelation& input,
                              const std::vector<size_t>& columns) {
@@ -104,27 +142,11 @@ Result<ProbRelation> EquiJoin(
     const ProbRelation& left, const ProbRelation& right,
     const std::vector<std::pair<size_t, size_t>>& join_columns) {
   PSC_ASSIGN_OR_RETURN(ProbRelation product, CrossProduct(left, right));
-  std::vector<Condition> conditions;
-  conditions.reserve(join_columns.size());
-  for (const auto& [left_col, right_col] : join_columns) {
-    conditions.push_back(
-        Condition::WithColumn(left_col, "Eq", left.arity() + right_col));
-  }
-  PSC_ASSIGN_OR_RETURN(ProbRelation selected, Select(product, conditions));
-  // Keep all left columns and the non-join right columns.
-  std::vector<size_t> columns;
-  for (size_t i = 0; i < left.arity(); ++i) columns.push_back(i);
-  for (size_t j = 0; j < right.arity(); ++j) {
-    bool is_join_column = false;
-    for (const auto& [left_col, right_col] : join_columns) {
-      if (right_col == j) {
-        is_join_column = true;
-        break;
-      }
-    }
-    if (!is_join_column) columns.push_back(left.arity() + j);
-  }
-  return Project(selected, columns);
+  PSC_ASSIGN_OR_RETURN(
+      ProbRelation selected,
+      Select(product, EquiJoinConditions(left.arity(), join_columns)));
+  return Project(selected, EquiJoinColumns(left.arity(), right.arity(),
+                                           join_columns));
 }
 
 Result<ProbRelation> Union(const ProbRelation& left,
@@ -148,10 +170,8 @@ Result<Relation> ProjectRelation(const Relation& input, size_t arity,
                                  const std::vector<size_t>& columns) {
   Relation output;
   for (const Tuple& tuple : input) {
-    if (tuple.size() != arity) {
-      return Status::InvalidArgument("inconsistent tuple arity in relation");
-    }
-    PSC_ASSIGN_OR_RETURN(Tuple projected, ProjectTuple(tuple, columns));
+    PSC_ASSIGN_OR_RETURN(Tuple projected,
+                         ProjectRelationTuple(tuple, arity, columns));
     output.insert(std::move(projected));
   }
   PSC_OBS_COUNTER_ADD("algebra.tuples_produced", output.size());
@@ -187,27 +207,12 @@ Result<Relation> EquiJoinRelation(
     size_t right_arity,
     const std::vector<std::pair<size_t, size_t>>& join_columns) {
   Relation product = CrossProductRelation(left, right);
-  std::vector<Condition> conditions;
-  conditions.reserve(join_columns.size());
-  for (const auto& [left_col, right_col] : join_columns) {
-    conditions.push_back(
-        Condition::WithColumn(left_col, "Eq", left_arity + right_col));
-  }
-  PSC_ASSIGN_OR_RETURN(const Relation selected,
-                       SelectRelation(product, conditions));
-  std::vector<size_t> columns;
-  for (size_t i = 0; i < left_arity; ++i) columns.push_back(i);
-  for (size_t j = 0; j < right_arity; ++j) {
-    bool is_join_column = false;
-    for (const auto& [left_col, right_col] : join_columns) {
-      if (right_col == j) {
-        is_join_column = true;
-        break;
-      }
-    }
-    if (!is_join_column) columns.push_back(left_arity + j);
-  }
-  return ProjectRelation(selected, left_arity + right_arity, columns);
+  PSC_ASSIGN_OR_RETURN(
+      const Relation selected,
+      SelectRelation(product, EquiJoinConditions(left_arity, join_columns)));
+  return ProjectRelation(
+      selected, left_arity + right_arity,
+      EquiJoinColumns(left_arity, right_arity, join_columns));
 }
 
 Relation UnionRelation(const Relation& left, const Relation& right) {
@@ -276,27 +281,14 @@ Result<Relation> EquiJoinRelationCertain(
     const std::vector<std::pair<size_t, size_t>>& join_columns,
     const NullPredicate& is_null) {
   Relation product = CrossProductRelation(left, right);
-  std::vector<Condition> conditions;
-  conditions.reserve(join_columns.size());
-  for (const auto& [left_col, right_col] : join_columns) {
-    conditions.push_back(
-        Condition::WithColumn(left_col, "Eq", left_arity + right_col));
-  }
-  PSC_ASSIGN_OR_RETURN(const Relation selected,
-                       SelectRelationCertain(product, conditions, is_null));
-  std::vector<size_t> columns;
-  for (size_t i = 0; i < left_arity; ++i) columns.push_back(i);
-  for (size_t j = 0; j < right_arity; ++j) {
-    bool is_join_column = false;
-    for (const auto& [left_col, right_col] : join_columns) {
-      if (right_col == j) {
-        is_join_column = true;
-        break;
-      }
-    }
-    if (!is_join_column) columns.push_back(left_arity + j);
-  }
-  return ProjectRelation(selected, left_arity + right_arity, columns);
+  PSC_ASSIGN_OR_RETURN(
+      const Relation selected,
+      SelectRelationCertain(product,
+                            EquiJoinConditions(left_arity, join_columns),
+                            is_null));
+  return ProjectRelation(
+      selected, left_arity + right_arity,
+      EquiJoinColumns(left_arity, right_arity, join_columns));
 }
 
 }  // namespace psc

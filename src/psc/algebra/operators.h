@@ -76,6 +76,24 @@ Result<ProbRelation> Union(const ProbRelation& left,
 /// Used to evaluate a query plan inside one concrete possible world when
 /// computing exact per-world confidences (experiment E5).
 /// @{
+
+/// The conjunction of `conditions` on one tuple: SelectRelation keeps
+/// exactly the tuples it holds for, and fails with its first error.
+Result<bool> EvalConditions(const Tuple& tuple,
+                            const std::vector<Condition>& conditions);
+/// One tuple of ProjectRelation, with the same checks and errors.
+Result<Tuple> ProjectRelationTuple(const Tuple& tuple, size_t arity,
+                                   const std::vector<size_t>& columns);
+/// The selection an equi-join applies to left × right (left columns
+/// first), and the columns it keeps: every left column and the non-join
+/// right columns.
+std::vector<Condition> EquiJoinConditions(
+    size_t left_arity,
+    const std::vector<std::pair<size_t, size_t>>& join_columns);
+std::vector<size_t> EquiJoinColumns(
+    size_t left_arity, size_t right_arity,
+    const std::vector<std::pair<size_t, size_t>>& join_columns);
+
 Result<Relation> ProjectRelation(const Relation& input, size_t arity,
                                  const std::vector<size_t>& columns);
 Result<Relation> SelectRelation(const Relation& input,

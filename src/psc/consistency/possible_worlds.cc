@@ -25,8 +25,8 @@ Result<std::vector<Fact>> BruteForceWorldEnumerator::Universe() const {
   return universe;
 }
 
-Result<bool> BruteForceWorldEnumerator::ForEachPossibleWorld(
-    const std::function<bool(const Database&)>& fn) const {
+Result<bool> BruteForceWorldEnumerator::Scan(
+    const std::function<bool(uint64_t, const Database&)>& fn) const {
   PSC_ASSIGN_OR_RETURN(const std::vector<Fact> universe, Universe());
   const uint64_t limit = uint64_t{1} << universe.size();
   const limits::Budget& budget = options_.budget;
@@ -40,9 +40,26 @@ Result<bool> BruteForceWorldEnumerator::ForEachPossibleWorld(
     PSC_ASSIGN_OR_RETURN(const bool possible,
                          collection_->IsPossibleWorld(db));
     if (possible) PSC_OBS_COUNTER_INC("brute_force.possible_worlds");
-    if (possible && !fn(db)) return false;
+    if (possible && !fn(mask, db)) return false;
   }
   return true;
+}
+
+Result<bool> BruteForceWorldEnumerator::ForEachPossibleWorld(
+    const std::function<bool(const Database&)>& fn) const {
+  return Scan([&](uint64_t, const Database& db) { return fn(db); });
+}
+
+Result<bool> BruteForceWorldEnumerator::ForEachPossibleWorldIds(
+    const std::function<bool(const std::vector<size_t>&)>& fn) const {
+  std::vector<size_t> ids;
+  return Scan([&](uint64_t mask, const Database&) {
+    ids.clear();
+    for (uint64_t rest = mask; rest != 0; rest &= rest - 1) {
+      ids.push_back(static_cast<size_t>(__builtin_ctzll(rest)));
+    }
+    return fn(ids);
+  });
 }
 
 Result<std::vector<Database>> BruteForceWorldEnumerator::CollectPossibleWorlds(

@@ -39,6 +39,11 @@ class BruteForceWorldEnumerator {
   Result<bool> ForEachPossibleWorld(
       const std::function<bool(const Database&)>& fn) const;
 
+  /// ForEachPossibleWorld with each world given as the ascending indices
+  /// of its facts in `Universe()`.
+  Result<bool> ForEachPossibleWorldIds(
+      const std::function<bool(const std::vector<size_t>&)>& fn) const;
+
   /// Materializes every possible world (fails beyond `max_worlds`).
   Result<std::vector<Database>> CollectPossibleWorlds(
       size_t max_worlds = 1u << 22) const;
@@ -50,6 +55,12 @@ class BruteForceWorldEnumerator {
   Result<std::vector<Fact>> Universe() const;
 
  private:
+  /// The subset scan behind both visitors: `fn` sees each possible world
+  /// as its subset mask (bit j = fact j of the universe) and as the
+  /// database checked against the sources.
+  Result<bool> Scan(
+      const std::function<bool(uint64_t, const Database&)>& fn) const;
+
   const SourceCollection* collection_;
   std::vector<Value> domain_;
   Options options_;

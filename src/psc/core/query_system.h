@@ -62,10 +62,9 @@ class QuerySystem {
     /// Worker threads for consistency search, exact counting and
     /// Monte-Carlo sampling. 0 (the default) resolves via the PSC_THREADS
     /// environment variable, falling back to hardware_concurrency(); 1
-    /// forces the sequential code paths byte-identical to the historical
-    /// behaviour. Verdicts, exact counts and confidences are bit-identical
-    /// for every thread count; Monte-Carlo estimates are identical across
-    /// all multi-threaded counts (see AnswerMonteCarlo).
+    /// runs every path sequentially on the calling thread. Verdicts,
+    /// exact counts, confidences and Monte-Carlo estimates are
+    /// bit-identical for every thread count (see AnswerMonteCarlo).
     size_t threads = 0;
     /// Route conjunctive-query evaluation through compiled slot-based join
     /// plans with lazy hash indexes (see relational/query_plan.h). false
@@ -123,7 +122,10 @@ class QuerySystem {
   /// \brief Exact query answering by possible-world enumeration:
   /// certain/possible answers and exact confidences. Exponential; bounded
   /// by Options::max_worlds. Works for identity collections over `domain`
-  /// (group enumeration) and falls back to brute force otherwise.
+  /// (group enumeration) and falls back to brute force otherwise. The
+  /// query is evaluated with lineage (AlgebraExpr::EvalLineage) over
+  /// groups of consecutive worlds; each world is then answered from its
+  /// fact ids.
   Result<QueryAnswer> AnswerExact(const AlgebraExprPtr& query,
                                   const std::vector<Value>& domain) const;
 
@@ -137,6 +139,13 @@ class QuerySystem {
   /// \brief Monte-Carlo answering: `samples` exact-uniform worlds from
   /// poss(S); confidences are sample frequencies. The certain/possible
   /// sets are *estimates* (tuples seen in every / any sampled world).
+  ///
+  /// Sample block b (64 samples) draws from Rng(MixSeed(seed, b)), so the
+  /// estimate depends only on (seed, samples), never on the thread count.
+  /// The call's deadline and node budget cover the sampler build (capped
+  /// at Options::max_shapes shapes) as well as the draws: a trip before
+  /// the first sample fails with the budget's status, a later one returns
+  /// the samples drawn so far flagged `truncated`.
   Result<QueryAnswer> AnswerMonteCarlo(const AlgebraExprPtr& query,
                                        const std::vector<Value>& domain,
                                        uint64_t samples, uint64_t seed) const;

@@ -87,7 +87,8 @@ class ShapeEnumerator {
     counts_.assign(instance_.groups().size(), 0);
     partial_in_extension_.assign(instance_.num_sources(), 0);
     visited_ = 0;
-    if (first_count < 0) return Recurse(0, BigInt(1));
+    const BigInt one(1);
+    if (first_count < 0) return Recurse(0, one, one);
     // Seed depth 0: counts_[0] = k, partials and weight follow.
     PSC_CHECK(!instance_.groups().empty() &&
               first_count <= instance_.groups()[0].size);
@@ -98,13 +99,18 @@ class ShapeEnumerator {
         partial_in_extension_[i] += first_count;
       }
     }
-    return Recurse(1, binomials_.Choose(group.size, first_count));
+    return Recurse(1, one, binomials_.Choose(group.size, first_count));
   }
 
   uint64_t visited() const { return visited_; }
 
  private:
-  Result<bool> Recurse(size_t g, const BigInt& weight) {
+  /// Visits the node at depth `g` whose weight is `parent_weight` ×
+  /// `factor` (the C(n, k) of the count just chosen). The product is formed
+  /// only once the node survives pruning — and at a leaf only once its
+  /// counts are feasible — so pruned children cost no BigInt multiply.
+  Result<bool> Recurse(size_t g, const BigInt& parent_weight,
+                       const BigInt& factor) {
     // Cooperative limits: one budget node per DFS tree node. Workers of a
     // sharded count share the budget, so the first shard to trip it stops
     // every other shard at its next node.
@@ -125,10 +131,11 @@ class ShapeEnumerator {
                    " count vectors"));
       }
       if (instance_.CheckCounts(counts_)) {
-        return (*visit_)(counts_, weight);
+        return (*visit_)(counts_, parent_weight * factor);
       }
       return true;
     }
+    const BigInt weight = parent_weight * factor;
     const IdentityInstance::Group& group = instance_.groups()[g];
     for (int64_t k = 0; k <= group.size; ++k) {
       counts_[g] = k;
@@ -137,8 +144,7 @@ class ShapeEnumerator {
           partial_in_extension_[i] += k;
         }
       }
-      BigInt child_weight = weight * binomials_.Choose(group.size, k);
-      auto deeper = Recurse(g + 1, child_weight);
+      auto deeper = Recurse(g + 1, weight, binomials_.Choose(group.size, k));
       for (size_t i = 0; i < instance_.num_sources(); ++i) {
         if ((group.signature & (uint64_t{1} << i)) != 0) {
           partial_in_extension_[i] -= k;

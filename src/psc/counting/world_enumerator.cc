@@ -7,9 +7,10 @@
 
 namespace psc {
 
-Result<bool> IdentityWorldEnumerator::ForEachWorld(
-    const std::function<bool(const Database&)>& fn, uint64_t max_worlds,
-    uint64_t max_shapes, const limits::Budget& budget) const {
+Result<bool> IdentityWorldEnumerator::ForEachWorldIds(
+    const std::function<bool(const std::vector<size_t>&)>& fn,
+    uint64_t max_worlds, uint64_t max_shapes,
+    const limits::Budget& budget) const {
   BinomialTable binomials;
   SignatureCounter counter(instance_, &binomials);
   PSC_ASSIGN_OR_RETURN(const std::vector<WorldShape> shapes,
@@ -17,6 +18,7 @@ Result<bool> IdentityWorldEnumerator::ForEachWorld(
 
   const auto& groups = instance_->groups();
   uint64_t produced = 0;
+  std::vector<size_t> members;
 
   for (const WorldShape& shape : shapes) {
     // Odometer of per-group subset selections.
@@ -34,14 +36,13 @@ Result<bool> IdentityWorldEnumerator::ForEachWorld(
       }
       if (!budget.Charge()) return budget.ToStatus();
       PSC_OBS_COUNTER_INC("counting.worlds_enumerated");
-      Database world;
+      members.clear();
       for (size_t g = 0; g < groups.size(); ++g) {
         for (const int64_t pick : picks[g]) {
-          const size_t member = groups[g].members[static_cast<size_t>(pick)];
-          world.AddFact(instance_->relation(), instance_->universe()[member]);
+          members.push_back(groups[g].members[static_cast<size_t>(pick)]);
         }
       }
-      if (!fn(world)) return false;
+      if (!fn(members)) return false;
 
       // Advance: find the last group whose combination can advance.
       size_t g = groups.size();
@@ -71,6 +72,20 @@ Result<bool> IdentityWorldEnumerator::ForEachWorld(
     }
   }
   return true;
+}
+
+Result<bool> IdentityWorldEnumerator::ForEachWorld(
+    const std::function<bool(const Database&)>& fn, uint64_t max_worlds,
+    uint64_t max_shapes, const limits::Budget& budget) const {
+  return ForEachWorldIds(
+      [&](const std::vector<size_t>& members) {
+        Database world;
+        for (const size_t member : members) {
+          world.AddFact(instance_->relation(), instance_->universe()[member]);
+        }
+        return fn(world);
+      },
+      max_worlds, max_shapes, budget);
 }
 
 }  // namespace psc

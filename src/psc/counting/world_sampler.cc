@@ -8,12 +8,13 @@
 namespace psc {
 
 Result<WorldSampler> WorldSampler::Create(const IdentityInstance* instance,
-                                          uint64_t max_shapes) {
+                                          uint64_t max_shapes,
+                                          const limits::Budget& budget) {
   PSC_CHECK(instance != nullptr);
   BinomialTable binomials;
   SignatureCounter counter(instance, &binomials);
   PSC_ASSIGN_OR_RETURN(std::vector<WorldShape> shapes,
-                       counter.FeasibleShapes(max_shapes));
+                       counter.FeasibleShapes(max_shapes, budget));
   std::vector<BigInt> cumulative;
   cumulative.reserve(shapes.size());
   BigInt total;
@@ -29,8 +30,8 @@ Result<WorldSampler> WorldSampler::Create(const IdentityInstance* instance,
                       std::move(total));
 }
 
-Database WorldSampler::Sample(Rng* rng) const {
-  PSC_CHECK(rng != nullptr);
+void WorldSampler::Draw(Rng* rng, std::vector<size_t>* members) const {
+  PSC_CHECK(rng != nullptr && members != nullptr);
   PSC_OBS_COUNTER_INC("counting.sampler_draws");
   const BigInt target = BigInt::RandomBelow(total_, rng->engine());
   // First shape whose cumulative weight exceeds `target`.
@@ -40,7 +41,7 @@ Database WorldSampler::Sample(Rng* rng) const {
   const WorldShape& shape =
       shapes_[static_cast<size_t>(it - cumulative_.begin())];
 
-  Database world;
+  members->clear();
   const auto& groups = instance_->groups();
   for (size_t g = 0; g < groups.size(); ++g) {
     const int64_t k = shape.counts[g];
@@ -48,9 +49,17 @@ Database WorldSampler::Sample(Rng* rng) const {
     const std::vector<int64_t> picks =
         rng->SampleWithoutReplacement(groups[g].size, k);
     for (const int64_t pick : picks) {
-      const size_t member = groups[g].members[static_cast<size_t>(pick)];
-      world.AddFact(instance_->relation(), instance_->universe()[member]);
+      members->push_back(groups[g].members[static_cast<size_t>(pick)]);
     }
+  }
+}
+
+Database WorldSampler::Sample(Rng* rng) const {
+  std::vector<size_t> members;
+  Draw(rng, &members);
+  Database world;
+  for (const size_t member : members) {
+    world.AddFact(instance_->relation(), instance_->universe()[member]);
   }
   return world;
 }

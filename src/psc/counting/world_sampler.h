@@ -5,6 +5,7 @@
 
 #include "psc/counting/identity_instance.h"
 #include "psc/counting/model_counter.h"
+#include "psc/limits/budget.h"
 #include "psc/relational/database.h"
 #include "psc/util/bigint.h"
 #include "psc/util/random.h"
@@ -23,13 +24,21 @@ namespace psc {
 /// per-query computation is infeasible.
 class WorldSampler {
  public:
-  /// Enumerates feasible shapes (bounded by `max_shapes`) and prepares
-  /// cumulative weights. Fails with Inconsistent when poss(S) is empty.
+  /// Enumerates feasible shapes (bounded by `max_shapes`, and by `budget`:
+  /// one node per count-vector tree node) and prepares cumulative weights.
+  /// Fails with Inconsistent when poss(S) is empty, and with
+  /// `budget.ToStatus()` when the budget trips.
   static Result<WorldSampler> Create(const IdentityInstance* instance,
-                                     uint64_t max_shapes = uint64_t{1} << 22);
+                                     uint64_t max_shapes = uint64_t{1} << 22,
+                                     const limits::Budget& budget =
+                                         limits::Budget());
 
-  /// Exact-uniform sample from poss(S), as a database over the instance's
-  /// relation.
+  /// \brief Exact-uniform draw from poss(S): replaces `*members` with the
+  /// world's facts as indices into the instance's universe.
+  void Draw(Rng* rng, std::vector<size_t>* members) const;
+
+  /// The same draw as `Draw` (same RNG use), materialized as a database
+  /// over the instance's relation.
   Database Sample(Rng* rng) const;
 
   /// |poss(S)| over the instance's universe.

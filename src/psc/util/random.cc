@@ -1,7 +1,6 @@
 #include "psc/util/random.h"
 
 #include <algorithm>
-#include <set>
 
 #include "psc/util/status.h"
 
@@ -25,12 +24,25 @@ bool Rng::Bernoulli(double p) {
 
 std::vector<int64_t> Rng::SampleWithoutReplacement(int64_t n, int64_t k) {
   PSC_CHECK_MSG(k >= 0 && k <= n, "Rng::SampleWithoutReplacement: bad k");
-  std::set<int64_t> chosen;
+  // Floyd: each step picks t in [0, j] and takes j instead when t is
+  // already chosen. Picks are marked in a flat vector and read back in
+  // ascending order.
+  std::vector<char> chosen(static_cast<size_t>(n), 0);
   for (int64_t j = n - k; j < n; ++j) {
     const int64_t t = UniformInt(0, j);
-    if (!chosen.insert(t).second) chosen.insert(j);
+    char& mark = chosen[static_cast<size_t>(t)];
+    if (mark == 0) {
+      mark = 1;
+    } else {
+      chosen[static_cast<size_t>(j)] = 1;
+    }
   }
-  return std::vector<int64_t>(chosen.begin(), chosen.end());
+  std::vector<int64_t> picks;
+  picks.reserve(static_cast<size_t>(k));
+  for (int64_t i = 0; i < n; ++i) {
+    if (chosen[static_cast<size_t>(i)] != 0) picks.push_back(i);
+  }
+  return picks;
 }
 
 }  // namespace psc

@@ -1,6 +1,7 @@
 #include "psc/algebra/expression.h"
 
 #include "gtest/gtest.h"
+#include "psc/obs/metrics.h"
 #include "test_util.h"
 
 namespace psc {
@@ -99,6 +100,113 @@ TEST(ExpressionTest, EvalInWorldMatchesSetSemantics) {
   ASSERT_TRUE(missing.ok());
   EXPECT_TRUE(missing->empty());
 }
+
+TEST(ExpressionTest, LineageAnswersEveryWorldLikeEvalInWorld) {
+  // Universe: R(a, b) over {0, 1, 2}² and S(a) over {0, 1}; every one of
+  // its 2^11 subsets is a world.
+  std::vector<Fact> universe;
+  for (int64_t a = 0; a < 3; ++a) {
+    for (int64_t b = 0; b < 3; ++b) universe.emplace_back("R", T2(a, b));
+  }
+  for (int64_t a = 0; a < 2; ++a) universe.emplace_back("S", U(a));
+  const auto r = AlgebraExpr::Base("R", 2);
+  const auto s = AlgebraExpr::Base("S", 1);
+  const auto eq = [](size_t column, int64_t value) {
+    return Condition::WithConstant(column, "Eq", Value(value));
+  };
+  const auto lt = [](size_t column, int64_t value) {
+    return Condition::WithConstant(column, "Lt", Value(value));
+  };
+  const Condition bogus =
+      Condition::WithConstant(0, "Bogus", Value(int64_t{0}));
+  const std::vector<AlgebraExprPtr> plans = {
+      AlgebraExpr::Project(AlgebraExpr::Join(r, s, {{1, 0}}), {0}),
+      AlgebraExpr::Project(AlgebraExpr::Join(r, r, {{1, 0}}), {0, 2}),
+      AlgebraExpr::Union(AlgebraExpr::Project(r, {1}), s),
+      AlgebraExpr::Select(AlgebraExpr::Product(s, s),
+                          {Condition::WithColumn(0, "Ne", 1)}),
+      AlgebraExpr::Union(AlgebraExpr::Base("Nope", 1), s),
+      // Fail only in worlds holding R(2, _), or S(1) and R(0, _).
+      AlgebraExpr::Select(r, {eq(0, 2), bogus}),
+      AlgebraExpr::Union(
+          AlgebraExpr::Project(
+              AlgebraExpr::Select(AlgebraExpr::Product(s, r),
+                                  {eq(0, 1), lt(1, 1),
+                                   Condition::WithColumn(5, "Eq", 0)}),
+              {1, 2}),
+          AlgebraExpr::Project(r, {0, 0})),
+      // Two errors: worlds holding R(2, _) and R(0, _) meet the left one.
+      AlgebraExpr::Union(
+          AlgebraExpr::Select(r, {eq(0, 2), bogus}),
+          AlgebraExpr::Select(r,
+                              {lt(0, 1), Condition::WithColumn(7, "Eq", 0)})),
+      // Keyed pairing (the first condition equates the sides, either way
+      // round), then a condition that fails on the pairs it keeps.
+      AlgebraExpr::Select(AlgebraExpr::Product(r, s),
+                          {Condition::WithColumn(1, "Eq", 2), bogus}),
+      AlgebraExpr::Select(AlgebraExpr::Product(s, r),
+                          {Condition::WithColumn(2, "Eq", 0), lt(1, 2),
+                           Condition::WithColumn(6, "Eq", 0)}),
+      // Projection of a base whose facts have another arity fails on
+      // every tuple.
+      AlgebraExpr::Project(AlgebraExpr::Base("S", 2), {1}),
+  };
+  for (const AlgebraExprPtr& plan : plans) {
+    PSC_ASSERT_OK_AND_ASSIGN(const Lineage lineage,
+                             plan->EvalLineage(universe));
+    for (uint64_t mask = 0; mask < (uint64_t{1} << universe.size()); ++mask) {
+      Database world;
+      FactBitset bits(universe.size());
+      for (size_t id = 0; id < universe.size(); ++id) {
+        if ((mask >> id) & 1) {
+          world.AddFact(universe[id]);
+          bits.Set(id);
+        }
+      }
+      const Result<Relation> expected = plan->EvalInWorld(world);
+      const Status error = lineage.ErrorIn(bits);
+      ASSERT_EQ(error.ToString(), expected.status().ToString())
+          << plan->ToString() << " mask " << mask;
+      if (!expected.ok()) continue;
+      Relation answer;
+      for (size_t i = 0; i < lineage.tuples().size(); ++i) {
+        if (lineage.Contains(i, bits)) answer.insert(lineage.tuples()[i]);
+      }
+      ASSERT_EQ(answer, *expected) << plan->ToString() << " mask " << mask;
+    }
+  }
+}
+
+#if PSC_OBS_ENABLED
+
+TEST(ExpressionTest, LineageSelectsOverAProductWithoutBuildingIt) {
+  std::vector<Fact> universe;
+  for (int64_t a = 0; a < 20; ++a) universe.emplace_back("S", U(a));
+  const auto s = AlgebraExpr::Base("S", 1);
+  const auto product = AlgebraExpr::Product(s, s);
+  auto& metrics = obs::GlobalMetrics();
+  // algebra.tuples_produced counts each operator's output: the 400-tuple
+  // product alone, but only the selected pairs when a selection is on top.
+  const struct {
+    AlgebraExprPtr plan;
+    size_t tuples;
+  } cases[] = {
+      {product, 400},
+      {AlgebraExpr::Select(product, {Condition::WithColumn(0, "Lt", 1)}), 190},
+      {AlgebraExpr::Select(product, {Condition::WithColumn(1, "Eq", 0)}), 20},
+  };
+  for (const auto& c : cases) {
+    const uint64_t before = metrics.CounterValue("algebra.tuples_produced");
+    PSC_ASSERT_OK_AND_ASSIGN(const Lineage lineage,
+                             c.plan->EvalLineage(universe));
+    EXPECT_EQ(lineage.tuples().size(), c.tuples) << c.plan->ToString();
+    EXPECT_EQ(metrics.CounterValue("algebra.tuples_produced") - before,
+              c.tuples)
+        << c.plan->ToString();
+  }
+}
+
+#endif  // PSC_OBS_ENABLED
 
 TEST(ExpressionTest, BaseRelationsCollectsAllLeaves) {
   auto plan = AlgebraExpr::Union(

@@ -108,7 +108,7 @@ TEST(QuerySystemOptionsTest, UseCompiledEvalTogglesTheGlobalEngine) {
 
 TEST(QuerySystemOptionsTest, MonteCarloSamplerRespectsShapeBudget) {
   QuerySystem::Options options;
-  options.max_worlds = 1;  // doubles as the sampler's shape budget
+  options.max_shapes = 1;  // caps the sampler's shape enumeration
   auto system = QuerySystem::Create(
       MakeUnaryCollection({MakeUnarySource("S", {0, 1}, "0", "0")}),
       options);

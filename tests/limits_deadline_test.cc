@@ -1,7 +1,8 @@
 // Integration tests for deadlines and node budgets threaded through
 // QuerySystem: consistency degrades to kUnknown, Monte-Carlo returns a
-// truncated partial answer, exact enumeration fails cleanly, and disabled
-// limits leave every result identical to the default configuration.
+// truncated partial answer (or fails when the limit trips before the first
+// sample), exact enumeration fails cleanly, and disabled limits leave every
+// result identical to the default configuration.
 
 #include <chrono>
 #include <string>
@@ -9,8 +10,11 @@
 #include "gtest/gtest.h"
 #include "psc/algebra/expression.h"
 #include "psc/core/query_system.h"
+#include "psc/counting/identity_instance.h"
+#include "psc/counting/world_sampler.h"
 #include "psc/parser/parser.h"
 #include "psc/util/status.h"
+#include "psc/workload/cache_workload.h"
 #include "test_util.h"
 
 namespace psc {
@@ -90,6 +94,45 @@ TEST_P(DeadlineConsistencyTest, HugeInstanceDegradesToUnknownPromptly) {
 INSTANTIATE_TEST_SUITE_P(Threads, DeadlineConsistencyTest,
                          ::testing::Values(size_t{1}, size_t{4}));
 
+/// A §6 cache fleet whose Monte-Carlo sampler build (the feasible-shape
+/// enumeration) is far slower than the deadline: 4 caches over 100
+/// objects, 15 signature groups, about 2·10^5 feasible shapes; the
+/// unbounded build takes about 6.5 s in a Release build on a 4-vCPU x86
+/// VM.
+class DeadlineMonteCarloTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(DeadlineMonteCarloTest, SamplerBuildHonoursDeadline) {
+  CacheConfig config;
+  config.num_objects = 100;
+  config.num_caches = 4;
+  config.seed = 7;
+  PSC_ASSERT_OK_AND_ASSIGN(const CacheWorkload workload,
+                           MakeCacheWorkload(config));
+  QuerySystem::Options options;
+  options.threads = GetParam();
+  options.deadline_ms = 50;
+  PSC_ASSERT_OK_AND_ASSIGN(
+      const QuerySystem system,
+      QuerySystem::Create(workload.collection, options));
+
+  const auto start = std::chrono::steady_clock::now();
+  const auto answer = system.AnswerMonteCarlo(
+      AlgebraExpr::Base("Object", 1),
+      workload.collection.MentionedConstants(), /*samples=*/192,
+      /*seed=*/1);
+  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - start);
+
+  ASSERT_FALSE(answer.ok());
+  EXPECT_EQ(answer.status().code(), StatusCode::kDeadlineExceeded)
+      << answer.status().ToString();
+  // Well under the unbounded build, with room for sanitizer builds.
+  EXPECT_LT(elapsed.count(), 1000) << "took " << elapsed.count() << " ms";
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, DeadlineMonteCarloTest,
+                         ::testing::Values(size_t{1}, size_t{4}));
+
 TEST(DeadlineDisabledTest, ZeroLimitsMatchDefaultOptions) {
   PSC_ASSERT_OK_AND_ASSIGN(const QuerySystem baseline,
                            QuerySystem::Create(Example51Collection()));
@@ -136,8 +179,19 @@ TEST(NodeBudgetTest, MonteCarloTruncatesToPartialAnswerSequential) {
   EXPECT_NE(answer.truncation_reason.find("node budget"), std::string::npos)
       << answer.truncation_reason;
   EXPECT_EQ(answer.method, "monte-carlo");
-  // The sequential loop draws exactly one sample per successful charge.
-  EXPECT_EQ(answer.worlds_used, 100u);
+  // The budget first pays for the sampler build (one node per count-vector
+  // tree node); the sequential loop then draws exactly one sample per
+  // successful charge.
+  PSC_ASSERT_OK_AND_ASSIGN(
+      const IdentityInstance instance,
+      IdentityInstance::Create(Example51Collection(), IntDomain(4)));
+  const limits::Budget build_budget = limits::Budget::WithNodeBudget(100);
+  const auto sampler =
+      WorldSampler::Create(&instance, uint64_t{1} << 22, build_budget);
+  ASSERT_TRUE(sampler.ok()) << sampler.status().ToString();
+  ASSERT_GT(build_budget.nodes_charged(), 0u);
+  ASSERT_LT(build_budget.nodes_charged(), 100u);
+  EXPECT_EQ(answer.worlds_used, 100u - build_budget.nodes_charged());
   // The partial estimate is still well formed: frequencies in [0, 1].
   for (const auto& [tuple, confidence] : answer.confidences.entries()) {
     EXPECT_GE(confidence, 0.0);

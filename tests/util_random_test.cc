@@ -1,6 +1,8 @@
 #include "psc/util/random.h"
 
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "gtest/gtest.h"
 
@@ -90,6 +92,28 @@ TEST(RngTest, SampleWithoutReplacementIsUnbiasedish) {
   }
   for (const int count : counts) {
     EXPECT_NEAR(static_cast<double>(count) / trials, 0.3, 0.05);
+  }
+}
+
+TEST(RngTest, SampleWithoutReplacementMatchesSetFloyd) {
+  // Floyd's algorithm over a std::set, as seeded generators and world
+  // draws have always consumed it: the same picks from the same stream,
+  // leaving the stream at the same place.
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    Rng reference(seed);
+    for (const auto& [n, k] : std::vector<std::pair<int64_t, int64_t>>{
+             {1, 1}, {10, 3}, {10, 10}, {100, 7}, {100, 93}, {1000, 500}}) {
+      std::set<int64_t> chosen;
+      for (int64_t j = n - k; j < n; ++j) {
+        const int64_t t = reference.UniformInt(0, j);
+        if (!chosen.insert(t).second) chosen.insert(j);
+      }
+      EXPECT_EQ(rng.SampleWithoutReplacement(n, k),
+                std::vector<int64_t>(chosen.begin(), chosen.end()))
+          << "seed " << seed << " n " << n << " k " << k;
+    }
+    EXPECT_EQ(rng.engine()(), reference.engine()());
   }
 }
 

@@ -116,9 +116,7 @@ fi
 
 # Determinism smoke: the CLI must print byte-identical reports at
 # --threads 1 and --threads 4. --quiet suppresses the wall-clock stats
-# line, which is legitimately run-dependent. (Monte-Carlo answering is
-# deliberately excluded: its single-threaded path keeps the historical
-# RNG stream, which differs from the counter-based multi-threaded one.)
+# line, which is legitimately run-dependent.
 smoke_build="${build_root}/obs-ON"
 smoke_input="$(mktemp)"
 trap 'rm -f "${smoke_input}"' EXIT
@@ -151,6 +149,9 @@ run_smoke "psc confidences (example 5.1)" \
   "${smoke_build}/tools/psc" confidences data/example51.psc
 run_smoke "psc audit (conflicted)" \
   "${smoke_build}/tools/psc" audit data/conflicted.psc
+run_smoke "psc answer --method mc (example 5.1)" \
+  "${smoke_build}/tools/psc" answer data/example51.psc 'Ans(x) <- R(x)' \
+  --method mc --samples 500 --seed 3
 
 # Evaluation-engine smoke: the compiled slot-based join plans (the
 # default) and the legacy interpreter (--no-compiled-eval) must print
