@@ -1,14 +1,16 @@
-// Compiled-vs-legacy conjunctive-query evaluation sweep: chain joins of
+// Compiled-vs-oracle conjunctive-query evaluation sweep: chain joins of
 // 1–4 atoms over random edge relations, crossed with relation size and
-// join selectivity (edge fanout). Every configuration evaluates with both
-// engines and checks the results are identical, so a planner or index bug
-// shows up as "!! MISMATCH" instead of a fast wrong answer.
+// join selectivity (edge fanout). Every configuration evaluates with the
+// compiled engine and with the nested-loop reference interpreter
+// (tests/oracle/eval_oracle.h) and checks the results are identical, so a
+// planner or index bug shows up as "!! MISMATCH" instead of a fast wrong
+// answer.
 //
 // The headline number is the speedup column: the compiled slot-based
 // plans with lazy hash indexes (relational/query_plan.h) are expected to
-// beat the legacy scan-per-depth interpreter by well over 5x on 3+-atom
-// joins over >= 1000-tuple relations, and to stay at least even on the
-// tiny databases world enumeration churns through.
+// beat the scan-per-depth oracle by well over 5x on 3+-atom joins over
+// >= 1000-tuple relations, and to stay at least even on the tiny
+// databases world enumeration churns through.
 //
 // `--smoke` runs a seconds-scale subset for CI (tools/ci_matrix.sh); the
 // full sweep plus the google-benchmark section is the default. The final
@@ -22,6 +24,7 @@
 
 #include "bench_util.h"
 #include "benchmark/benchmark.h"
+#include "oracle/eval_oracle.h"
 #include "psc/parser/parser.h"
 #include "psc/relational/conjunctive_query.h"
 #include "psc/relational/database.h"
@@ -61,14 +64,19 @@ ConjunctiveQuery ChainQuery(int atoms, bool with_builtin) {
   return std::move(query).ValueOrDie();
 }
 
+/// One evaluation with the compiled engine (`compiled`) or the oracle.
+Result<Relation> EvaluateWith(bool compiled, const ConjunctiveQuery& query,
+                              const Database& db) {
+  return compiled ? query.Evaluate(db) : oracle::Evaluate(query, db);
+}
+
 /// Times `reps` evaluations with the given engine; returns per-eval ms and
-/// stores the (engine-independent) result size for the equality check.
+/// stores the last result for the equality check.
 double TimeEngine(const ConjunctiveQuery& query, const Database& db,
                   bool compiled, int reps, Relation* result) {
-  eval::SetCompiledEvalEnabled(compiled);
   bench_util::Stopwatch stopwatch;
   for (int r = 0; r < reps; ++r) {
-    auto evaluated = query.Evaluate(db);
+    auto evaluated = EvaluateWith(compiled, query, db);
     if (!evaluated.ok()) {
       std::fprintf(stderr, "evaluate failed: %s\n",
                    evaluated.status().ToString().c_str());
@@ -94,41 +102,40 @@ int RunSweep(bool smoke) {
                                        {1000, 250},   // fanout 4
                                        {4000, 2000}};
   const int compiled_reps = smoke ? 2 : 10;
-  const int legacy_reps = smoke ? 1 : 2;
+  const int oracle_reps = smoke ? 1 : 2;
 
   std::printf("%6s %7s %7s %9s | %12s %12s %9s | %8s %s\n", "atoms",
-              "edges", "domain", "builtin", "legacy ms", "compiled ms",
+              "edges", "domain", "builtin", "oracle ms", "compiled ms",
               "speedup", "tuples", "check");
   int mismatches = 0;
   for (const SweepConfig& config : configs) {
     const Database db = MakeGraphDb(/*seed=*/17, config.edges, config.domain);
     for (const int atoms : atom_counts) {
       for (const bool with_builtin : {false, true}) {
-        // Quadratic-and-worse legacy blowup: skip the pathological corner
+        // Quadratic-and-worse oracle blowup: skip the pathological corner
         // in the full sweep rather than waiting minutes for it.
         if (!smoke && atoms == 4 && config.edges >= 4000) continue;
         const ConjunctiveQuery query = ChainQuery(atoms, with_builtin);
         eval::ClearQueryPlanCache();
-        Relation compiled_result, legacy_result;
-        const double legacy_ms =
-            TimeEngine(query, db, /*compiled=*/false, legacy_reps,
-                       &legacy_result);
+        Relation compiled_result, oracle_result;
+        const double oracle_ms =
+            TimeEngine(query, db, /*compiled=*/false, oracle_reps,
+                       &oracle_result);
         const double compiled_ms =
             TimeEngine(query, db, /*compiled=*/true, compiled_reps,
                        &compiled_result);
-        const bool match = compiled_result == legacy_result;
+        const bool match = compiled_result == oracle_result;
         mismatches += match ? 0 : 1;
         std::printf("%6d %7lld %7lld %9s | %12.3f %12.3f %8.1fx | %8zu %s\n",
                     atoms, static_cast<long long>(config.edges),
                     static_cast<long long>(config.domain),
-                    with_builtin ? "yes" : "no", legacy_ms, compiled_ms,
-                    legacy_ms / std::max(compiled_ms, 1e-6),
+                    with_builtin ? "yes" : "no", oracle_ms, compiled_ms,
+                    oracle_ms / std::max(compiled_ms, 1e-6),
                     compiled_result.size(),
                     match ? "ok" : "!! MISMATCH");
       }
     }
   }
-  eval::SetCompiledEvalEnabled(true);
   return mismatches;
 }
 
@@ -137,12 +144,10 @@ void BM_ChainJoin(benchmark::State& state) {
   const bool compiled = state.range(1) != 0;
   const Database db = MakeGraphDb(/*seed=*/17, /*edges=*/1000, /*domain=*/500);
   const ConjunctiveQuery query = ChainQuery(atoms, /*with_builtin=*/false);
-  eval::SetCompiledEvalEnabled(compiled);
   for (auto _ : state) {
-    auto result = query.Evaluate(db);
+    auto result = EvaluateWith(compiled, query, db);
     benchmark::DoNotOptimize(result);
   }
-  eval::SetCompiledEvalEnabled(true);
 }
 BENCHMARK(BM_ChainJoin)
     ->ArgNames({"atoms", "compiled"})

@@ -82,7 +82,7 @@ const char* kQueries[] = {
 };
 constexpr size_t kQueryCount = sizeof(kQueries) / sizeof(kQueries[0]);
 
-/// Delta scripts the churn session alternates between: S1 gains "c",
+/// Delta scripts the churn session alternates between: S1 gains "e",
 /// then loses it again — every answer cache entry over R invalidates.
 const char* kChurnScripts[] = {"+ S1(\"e\")", "- S1(\"e\")"};
 
@@ -101,10 +101,12 @@ std::string AnswerRequest(size_t query_index, const std::string& id) {
   return writer.Finish();
 }
 
-std::string DeltaRequest(size_t step) {
+/// The churn session's `mutation`-th apply-delta request (0-based), so
+/// inserts and retracts alternate.
+std::string DeltaRequest(size_t mutation) {
   serve::JsonObjectWriter writer;
   writer.String("verb", "apply-delta");
-  writer.String("script", kChurnScripts[step % 2]);
+  writer.String("script", kChurnScripts[mutation % 2]);
   return writer.Finish();
 }
 
@@ -127,7 +129,8 @@ serve::EngineOptions WarmEngineOptions() {
 /// One concurrency point of the closed-loop sweep. Each of `sessions`
 /// simulated clients issues `per_session` requests, one outstanding at a
 /// time; with `churn`, session 0 alternates apply-delta mutations between
-/// its answers. Returns wall-clock ms and fills per-request latencies.
+/// its answers. Returns wall-clock ms and fills per-request latencies; an
+/// error response counts as a failure.
 double RunWarmPoint(serve::Engine& engine, size_t sessions,
                     size_t per_session, bool churn,
                     std::vector<double>* latencies_us) {
@@ -142,6 +145,7 @@ double RunWarmPoint(serve::Engine& engine, size_t sessions,
   std::mutex done_mutex;
   std::condition_variable done_cv;
   size_t active = sessions;
+  std::atomic<size_t> errors{0};
 
   // The per-session request chain: the response callback records the
   // latency and submits the session's next request, so each session keeps
@@ -150,10 +154,13 @@ double RunWarmPoint(serve::Engine& engine, size_t sessions,
     Session& session = state[s];
     const size_t step = session.sent++;
     session.submitted_at = NowMicros();
+    // Session 0 mutates on odd steps; step / 2 counts its earlier
+    // mutations.
     const bool mutate = churn && s == 0 && step % 2 == 1;
     const std::string request =
-        mutate ? DeltaRequest(step) : AnswerRequest(s + step, "");
-    engine.Submit(s, request, [&, s](const std::string&) {
+        mutate ? DeltaRequest(step / 2) : AnswerRequest(s + step, "");
+    engine.Submit(s, request, [&, s](const std::string& response) {
+      if (response.find("\"ok\":true") == std::string::npos) ++errors;
       Session& mine = state[s];
       mine.latencies.push_back(
           static_cast<double>(NowMicros() - mine.submitted_at));
@@ -173,6 +180,7 @@ double RunWarmPoint(serve::Engine& engine, size_t sessions,
     done_cv.wait(lock, [&] { return active == 0; });
   }
   const double elapsed_ms = stopwatch.ElapsedMillis();
+  Check(errors.load() == 0, "a warm request got an error response");
   for (const Session& session : state) {
     latencies_us->insert(latencies_us->end(), session.latencies.begin(),
                          session.latencies.end());

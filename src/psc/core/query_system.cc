@@ -15,7 +15,6 @@
 #include "psc/exec/thread_pool.h"
 #include "psc/obs/metrics.h"
 #include "psc/obs/trace.h"
-#include "psc/relational/query_plan.h"
 #include "psc/util/random.h"
 #include "psc/util/string_util.h"
 
@@ -207,7 +206,6 @@ Result<QuerySystem> QuerySystem::Create(SourceCollection collection) {
 
 Result<QuerySystem> QuerySystem::Create(SourceCollection collection,
                                         Options options) {
-  eval::SetCompiledEvalEnabled(options.use_compiled_eval);
   return QuerySystem(std::move(collection), options);
 }
 

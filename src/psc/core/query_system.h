@@ -66,14 +66,6 @@ class QuerySystem {
     /// exact counts, confidences and Monte-Carlo estimates are
     /// bit-identical for every thread count (see AnswerMonteCarlo).
     size_t threads = 0;
-    /// Route conjunctive-query evaluation through compiled slot-based join
-    /// plans with lazy hash indexes (see relational/query_plan.h). false
-    /// selects the legacy nested-loop interpreter (CLI:
-    /// `--no-compiled-eval`) for differential testing. NOTE: the switch is
-    /// process-global — Create applies it via
-    /// eval::SetCompiledEvalEnabled, affecting every evaluation, not just
-    /// this system's. Both engines produce identical results.
-    bool use_compiled_eval = true;
     /// Wall-clock deadline in milliseconds for each entry point (0 = no
     /// deadline; CLI: `--deadline-ms`). Every call builds a fresh budget,
     /// so the deadline applies per call, not per system. On expiry,

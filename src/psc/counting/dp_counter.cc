@@ -27,13 +27,9 @@ Result<BigInt> RunPass(const IdentityInstance& instance,
                        uint64_t max_states, const limits::Budget& budget,
                        uint64_t* peak_states, uint64_t* feasible_states) {
   const size_t n = instance.num_sources();
-  /// Rough per-state footprint for the advisory memory budget: the key
-  /// vector of n+1 int64 sums plus map-node and BigInt overhead.
-  const uint64_t state_bytes = (n + 1) * sizeof(int64_t) + 96;
   StateMap states;
   states.emplace(State(n + 1, 0), BigInt(1));
 
-  uint64_t reserved_bytes = 0;
   for (size_t g = 0; g < instance.groups().size(); ++g) {
     const IdentityInstance::Group& group = instance.groups()[g];
     const bool marked = static_cast<int64_t>(g) == marked_group;
@@ -41,10 +37,7 @@ Result<BigInt> RunPass(const IdentityInstance& instance,
     for (const auto& [state, weight] : states) {
       // One budget node per expanded state; all concurrent passes share
       // the budget, so the first pass to trip it stops the others too.
-      if (!budget.Charge()) {
-        budget.ReleaseMemory(reserved_bytes);
-        return budget.ToStatus();
-      }
+      if (!budget.Charge()) return budget.ToStatus();
       const int64_t k_min = marked ? 1 : 0;
       for (int64_t k = k_min; k <= group.size; ++k) {
         const BigInt& combinations =
@@ -65,21 +58,11 @@ Result<BigInt> RunPass(const IdentityInstance& instance,
     PSC_OBS_COUNTER_ADD("counting.dp_cells", states.size());
     *peak_states = std::max<uint64_t>(*peak_states, states.size());
     if (states.size() > max_states) {
-      budget.ReleaseMemory(reserved_bytes);
       return Status::ResourceExhausted(
           StrCat("DP state count ", states.size(), " exceeds the budget of ",
                  max_states));
     }
-    // Advisory memory budget: track the live state map's footprint.
-    const uint64_t layer_bytes = states.size() * state_bytes;
-    budget.ReleaseMemory(reserved_bytes);
-    reserved_bytes = layer_bytes;
-    if (!budget.ChargeMemory(reserved_bytes)) {
-      budget.ReleaseMemory(reserved_bytes);
-      return budget.ToStatus();
-    }
   }
-  budget.ReleaseMemory(reserved_bytes);
 
   BigInt total;
   for (const auto& [state, weight] : states) {

@@ -42,9 +42,8 @@ class DpCounter {
   /// with its own `BinomialTable`, and the per-pass results land in fixed
   /// slots — the outcome is bit-identical for any worker count.
   /// A tripped cooperative `budget` (deadline / node budget, one node
-  /// charged per expanded DP state; the advisory memory budget is charged
-  /// with the live state-map footprint) fails with `budget.ToStatus()`
-  /// and cancels passes still queued on the pool.
+  /// charged per expanded DP state) fails with `budget.ToStatus()` and
+  /// cancels passes still queued on the pool.
   Result<CountingOutcome> Count(uint64_t max_states = uint64_t{1} << 22,
                                 exec::ThreadPool* pool = nullptr,
                                 const limits::Budget& budget =

@@ -13,8 +13,9 @@
 ///  * a fixed worker set (no dynamic growth; sized once at construction),
 ///  * one task deque per worker — owners pop from the front, idle workers
 ///    steal from the back of a victim's deque,
-///  * cooperative cancellation via `CancellationToken` (tasks poll; nothing
-///    is ever killed mid-flight),
+///  * cooperative cancellation: `ParallelFor` / `ParallelReduce`
+///    (parallel.h) poll a `limits::CancelToken` between shards, so nothing
+///    is ever killed mid-flight,
 ///  * metrics through `psc::obs`: pool gauge, task/steal counters and a
 ///    task-latency histogram.
 ///
@@ -45,22 +46,6 @@ size_t HardwareThreads();
 /// when set to a positive integer, otherwise `HardwareThreads()`. Any
 /// positive `requested` is returned unchanged.
 size_t ResolveThreadCount(size_t requested);
-
-/// \brief Shared cooperative cancellation flag.
-///
-/// Copies observe the same underlying state; `Cancel()` is sticky. Workers
-/// poll `cancelled()` between units of work — a relaxed atomic load — and
-/// wind down at the next check.
-class CancellationToken {
- public:
-  CancellationToken() : state_(std::make_shared<std::atomic<bool>>(false)) {}
-
-  void Cancel() const { state_->store(true, std::memory_order_relaxed); }
-  bool cancelled() const { return state_->load(std::memory_order_relaxed); }
-
- private:
-  std::shared_ptr<std::atomic<bool>> state_;
-};
 
 /// \brief Fixed-size work-stealing thread pool.
 ///

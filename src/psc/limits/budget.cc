@@ -38,8 +38,6 @@ const char* StopReasonToString(StopReason reason) {
       return "deadline";
     case StopReason::kNodeBudget:
       return "node-budget";
-    case StopReason::kMemoryBudget:
-      return "memory-budget";
     case StopReason::kCancelled:
       return "cancelled";
   }
@@ -51,7 +49,6 @@ struct Budget::State {
   /// Absolute deadline; Clock::time_point::max() when no deadline is set.
   Clock::time_point deadline = Clock::time_point::max();
   std::atomic<uint64_t> nodes{0};
-  std::atomic<uint64_t> memory_bytes{0};
   /// StopReason of the first tripped limit; kNone while within budget.
   std::atomic<int> reason{static_cast<int>(StopReason::kNone)};
   /// Steady micros at the moment of the trip, for observer latency.
@@ -81,7 +78,6 @@ struct Budget::State {
           PSC_OBS_COUNTER_INC("limits.deadline_hits");
           break;
         case StopReason::kNodeBudget:
-        case StopReason::kMemoryBudget:
           PSC_OBS_COUNTER_INC("limits.budget_hits");
           break;
         case StopReason::kCancelled:
@@ -176,26 +172,6 @@ bool Budget::Expired() const {
   return false;
 }
 
-bool Budget::ChargeMemory(uint64_t bytes) const {
-  if (state_ == nullptr) return true;
-  State& s = *state_;
-  const uint64_t total =
-      s.memory_bytes.fetch_add(bytes, std::memory_order_relaxed) + bytes;
-  if (s.CurrentReason() != StopReason::kNone) {
-    return s.Trip(StopReason::kNone);
-  }
-  if (s.options.memory_budget_bytes != 0 &&
-      total > s.options.memory_budget_bytes) {
-    return s.Trip(StopReason::kMemoryBudget);
-  }
-  return true;
-}
-
-void Budget::ReleaseMemory(uint64_t bytes) const {
-  if (state_ == nullptr) return;
-  state_->memory_bytes.fetch_sub(bytes, std::memory_order_relaxed);
-}
-
 void Budget::Cancel() const {
   if (state_ == nullptr) return;
   state_->token.Cancel();
@@ -231,10 +207,6 @@ Status Budget::ToStatus() const {
       return Status::ResourceExhausted(
           StrCat("node budget of ", s->options.node_budget,
                  " exhausted"));
-    case StopReason::kMemoryBudget:
-      return Status::ResourceExhausted(
-          StrCat("memory budget of ", s->options.memory_budget_bytes,
-                 " bytes exhausted"));
     case StopReason::kCancelled:
       return Status::DeadlineExceeded(
           StrCat("work cancelled after ", nodes_charged(), " nodes"));

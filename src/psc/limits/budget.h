@@ -13,11 +13,8 @@
 ///  * a **wall-clock deadline** (steady_clock; immune to NTP jumps),
 ///  * an **explored-node budget** (combinations, count vectors, worlds,
 ///    samples — whatever "one unit of search work" means locally),
-///  * an optional advisory **memory budget** checked by solvers that can
-///    attribute their allocations (the DP counter's state maps).
-///
-/// plus a shared `CancelToken` so an external caller (RPC teardown, a
-/// user's ^C) can revoke in-flight work.
+///  * a shared **cancel token** (`CancelToken`) so an external caller
+///    (RPC teardown, a user's ^C) can revoke in-flight work.
 ///
 /// Copies of a `Budget` share state: hand the same budget to every worker
 /// thread and the first observer of an exceeded limit trips it for all of
@@ -69,7 +66,6 @@ enum class StopReason {
   kNone = 0,
   kDeadline,
   kNodeBudget,
-  kMemoryBudget,
   kCancelled,
 };
 
@@ -81,8 +77,6 @@ struct BudgetOptions {
   int64_t deadline_ms = 0;
   /// Maximum units of search work (`Charge` calls, weighted).
   uint64_t node_budget = 0;
-  /// Advisory memory ceiling for solvers that report via `ChargeMemory`.
-  uint64_t memory_budget_bytes = 0;
   /// External cancellation source adopted as *the* budget token: a
   /// `Cancel()` on any copy of it trips the budget at its next check,
   /// exactly like `Budget::Cancel`. Lets one long-lived token (a server's
@@ -121,11 +115,6 @@ class Budget {
   /// without charging work. For coarse loops with expensive units.
   bool Expired() const;
 
-  /// Advisory memory accounting; trips kMemoryBudget when the running
-  /// total exceeds the configured ceiling. `Release` undoes a charge.
-  bool ChargeMemory(uint64_t bytes) const;
-  void ReleaseMemory(uint64_t bytes) const;
-
   /// Revokes all work sharing this budget (sticky).
   void Cancel() const;
 
@@ -143,8 +132,8 @@ class Budget {
   uint64_t nodes_charged() const;
 
   /// OK while within limits; otherwise `DeadlineExceeded` (deadline or
-  /// cancellation) or `ResourceExhausted` (node / memory budget) with a
-  /// message naming the bound reached.
+  /// cancellation) or `ResourceExhausted` (node budget) with a message
+  /// naming the bound reached.
   Status ToStatus() const;
 
   /// Wall-clock poll stride for `Charge`, in charged units.

@@ -224,13 +224,11 @@ Status ValidateNonNegativeNumber(const JsonValue& value,
 namespace {
 
 Status ValidateHistogramObject(const std::string& name,
-                               const JsonValue& value, int version) {
+                               const JsonValue& value) {
   PSC_RETURN_NOT_OK(Expect(
       value.is_object(), StrCat("histogram '", name, "' not an object")));
-  std::vector<const char*> fields = {"count", "sum",  "min", "max",
-                                     "mean",  "p50", "p90", "p99"};
-  if (version >= 2) fields.push_back("p95");
-  for (const char* field : fields) {
+  for (const char* field :
+       {"count", "sum", "min", "max", "mean", "p50", "p90", "p95", "p99"}) {
     const JsonValue* member = value.Find(field);
     PSC_RETURN_NOT_OK(Expect(
         member != nullptr,
@@ -251,8 +249,8 @@ Status ValidateHistogramObject(const std::string& name,
 }
 
 /// The counters/gauges/histograms triple appears at the top level and
-/// inside every v2 query section; `where` labels errors.
-Status ValidateInstrumentSections(const JsonValue& object, int version,
+/// inside every query section; `where` labels errors.
+Status ValidateInstrumentSections(const JsonValue& object,
                                   const std::string& where) {
   const JsonValue* counters = object.Find("counters");
   PSC_RETURN_NOT_OK(Expect(counters != nullptr && counters->is_object(),
@@ -274,8 +272,7 @@ Status ValidateInstrumentSections(const JsonValue& object, int version,
   PSC_RETURN_NOT_OK(Expect(histograms != nullptr && histograms->is_object(),
                            StrCat(where, "missing histograms object")));
   for (const auto& [name, value] : histograms->object()) {
-    PSC_RETURN_NOT_OK(
-        ValidateHistogramObject(StrCat(where, name), value, version));
+    PSC_RETURN_NOT_OK(ValidateHistogramObject(StrCat(where, name), value));
   }
   return Status::OK();
 }
@@ -289,24 +286,16 @@ Status ValidateRunReportJson(const JsonValue& document) {
   PSC_RETURN_NOT_OK(
       Expect(version_value != nullptr && version_value->is_number(),
              "missing numeric schema_version"));
-  const int version = static_cast<int>(version_value->number());
-  // v1 documents (archived bench baselines) stay valid; v2 adds fields.
   PSC_RETURN_NOT_OK(
-      Expect(version >= 1 && version <= kRunReportSchemaVersion,
+      Expect(version_value->number() == kRunReportSchemaVersion,
              StrCat("unsupported schema_version ", version_value->number())));
 
-  PSC_RETURN_NOT_OK(ValidateInstrumentSections(document, version, ""));
+  PSC_RETURN_NOT_OK(ValidateInstrumentSections(document, ""));
 
   const JsonValue* spans = document.Find("spans");
   PSC_RETURN_NOT_OK(
       Expect(spans != nullptr && spans->is_array(), "missing spans array"));
   std::set<int64_t> span_ids;
-  std::vector<const char*> span_fields = {"parent", "depth", "start_us",
-                                          "duration_us"};
-  if (version >= 2) {
-    span_fields.push_back("tid");
-    span_fields.push_back("scope");
-  }
   for (const JsonValue& span : spans->array()) {
     PSC_RETURN_NOT_OK(Expect(span.is_object(), "span not an object"));
     const JsonValue* id = span.Find("id");
@@ -316,7 +305,8 @@ Status ValidateRunReportJson(const JsonValue& document) {
     const JsonValue* name = span.Find("name");
     PSC_RETURN_NOT_OK(Expect(name != nullptr && name->is_string(),
                              "span missing name string"));
-    for (const char* field : span_fields) {
+    for (const char* field :
+         {"parent", "depth", "start_us", "duration_us", "tid", "scope"}) {
       const JsonValue* member = span.Find(field);
       PSC_RETURN_NOT_OK(Expect(member != nullptr && member->is_number(),
                                StrCat("span missing field '", field, "'")));
@@ -338,30 +328,27 @@ Status ValidateRunReportJson(const JsonValue& document) {
     }
   }
 
-  if (version >= 2) {
-    const JsonValue* queries = document.Find("queries");
-    PSC_RETURN_NOT_OK(Expect(queries != nullptr && queries->is_object(),
-                             "missing queries object"));
-    for (const auto& [name, query] : queries->object()) {
-      const std::string where = StrCat("query '", name, "' ");
-      PSC_RETURN_NOT_OK(
-          Expect(query.is_object(), StrCat(where, "not an object")));
-      const JsonValue* id = query.Find("id");
-      PSC_RETURN_NOT_OK(Expect(id != nullptr && id->is_number(),
-                               StrCat(where, "missing numeric id")));
-      PSC_RETURN_NOT_OK(ValidateInstrumentSections(query, version, where));
-      for (const char* field : {"spans", "spans_dropped"}) {
-        const JsonValue* member = query.Find(field);
-        PSC_RETURN_NOT_OK(
-            Expect(member != nullptr,
-                   StrCat(where, "missing field '", field, "'")));
-        PSC_RETURN_NOT_OK(ValidateNonNegativeNumber(
-            *member, StrCat(where, "field '", field, "'")));
-      }
-      const JsonValue* trip = query.Find("trip");
-      PSC_RETURN_NOT_OK(Expect(trip != nullptr && trip->is_string(),
-                               StrCat(where, "missing trip string")));
+  const JsonValue* queries = document.Find("queries");
+  PSC_RETURN_NOT_OK(Expect(queries != nullptr && queries->is_object(),
+                           "missing queries object"));
+  for (const auto& [name, query] : queries->object()) {
+    const std::string where = StrCat("query '", name, "' ");
+    PSC_RETURN_NOT_OK(
+        Expect(query.is_object(), StrCat(where, "not an object")));
+    const JsonValue* id = query.Find("id");
+    PSC_RETURN_NOT_OK(Expect(id != nullptr && id->is_number(),
+                             StrCat(where, "missing numeric id")));
+    PSC_RETURN_NOT_OK(ValidateInstrumentSections(query, where));
+    for (const char* field : {"spans", "spans_dropped"}) {
+      const JsonValue* member = query.Find(field);
+      PSC_RETURN_NOT_OK(Expect(member != nullptr,
+                               StrCat(where, "missing field '", field, "'")));
+      PSC_RETURN_NOT_OK(ValidateNonNegativeNumber(
+          *member, StrCat(where, "field '", field, "'")));
     }
+    const JsonValue* trip = query.Find("trip");
+    PSC_RETURN_NOT_OK(Expect(trip != nullptr && trip->is_string(),
+                             StrCat(where, "missing trip string")));
   }
   return Status::OK();
 }

@@ -25,7 +25,7 @@ namespace obs {
 /// v2 (this version): interpolated p50/p90/p95/p99 on histograms, span
 /// records carry `tid` and `scope`, a synthetic `trace.dropped` counter,
 /// and a per-query `queries` section built from the alive obs::Scopes.
-/// Validators accept v1 documents too (archived bench baselines).
+/// Validators accept this version only.
 inline constexpr int kRunReportSchemaVersion = 2;
 
 struct RunReport {
@@ -78,9 +78,9 @@ struct RunReport {
 /// Validates that `document` is a well-formed run report: required
 /// top-level keys with the right JSON types, non-negative counters,
 /// histogram invariants (count==0 ⇒ sum==0, min ≤ max), span records with
-/// parent ids that either are -1 or reference a span in the report.
-/// Accepts schema v1 (no p95/tid/scope/queries — archived baselines) and
-/// v2; v2-only fields are required when schema_version is 2.
+/// parent ids that either are -1 or reference a span in the report, and
+/// a `queries` section. Rejects every schema_version other than
+/// `kRunReportSchemaVersion`.
 Status ValidateRunReportJson(const JsonValue& document);
 
 /// Parses and validates in one step (convenience for tools/tests).

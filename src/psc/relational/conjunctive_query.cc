@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <optional>
 
-#include "psc/obs/metrics.h"
 #include "psc/relational/builtin.h"
 #include "psc/relational/query_plan.h"
 #include "psc/util/string_util.h"
@@ -130,148 +129,15 @@ Status ConjunctiveQuery::InferSchema(Schema* schema) const {
   return Status::OK();
 }
 
-namespace {
-
-/// Depth-first join over the relational body atoms. Built-ins are evaluated
-/// eagerly as soon as all their arguments are bound, pruning the search.
-///
-/// This is the legacy interpreter, kept behind
-/// `eval::SetCompiledEvalEnabled(false)` as the differential-testing oracle
-/// for the compiled plans in query_plan.h.
-class Evaluator {
- public:
-  Evaluator(const ConjunctiveQuery& query, const Database& db,
-            const std::function<bool(const Valuation&)>& fn)
-      : query_(query), db_(db), fn_(fn) {}
-
-  /// Returns false iff the callback requested an early stop.
-  Result<bool> Run(const Valuation& initial) {
-    valuation_ = initial;
-    builtin_done_.assign(query_.builtin_body().size(), 0);
-    done_trail_.clear();
-    return Recurse(0);
-  }
-
- private:
-  /// Reverts `builtin_done_` flags set at or after `mark` on destruction,
-  /// so sibling branches (with different bindings) re-evaluate them. The
-  /// shared trail replaces the by-value `builtin_done` vector the recursion
-  /// used to copy — and heap-allocate — on every call.
-  class DoneTrailGuard {
-   public:
-    DoneTrailGuard(std::vector<char>* done, std::vector<size_t>* trail)
-        : done_(done), trail_(trail), mark_(trail->size()) {}
-    ~DoneTrailGuard() {
-      while (trail_->size() > mark_) {
-        (*done_)[trail_->back()] = 0;
-        trail_->pop_back();
-      }
-    }
-
-   private:
-    std::vector<char>* done_;
-    std::vector<size_t>* trail_;
-    size_t mark_;
-  };
-
-  Result<bool> Recurse(size_t index) {
-    DoneTrailGuard guard(&builtin_done_, &done_trail_);
-    // Evaluate any built-in whose arguments just became fully bound.
-    for (size_t j = 0; j < query_.builtin_body().size(); ++j) {
-      if (builtin_done_[j]) continue;
-      const Atom& atom = query_.builtin_body()[j];
-      auto ground = GroundTerms(atom.terms(), valuation_);
-      if (!ground.ok()) continue;  // not yet fully bound
-      PSC_ASSIGN_OR_RETURN(const bool holds,
-                           EvalBuiltin(atom.predicate(), *ground));
-      if (!holds) return true;  // prune this branch, keep searching
-      builtin_done_[j] = 1;
-      done_trail_.push_back(j);
-    }
-    if (index == query_.relational_body().size()) {
-      return fn_(valuation_);
-    }
-    const Atom& atom = query_.relational_body()[index];
-    const Relation& relation = db_.GetRelation(atom.predicate());
-    for (const Tuple& tuple : relation) {
-      if (tuple.size() != atom.arity()) continue;
-      std::vector<std::string> newly_bound;
-      if (TryUnify(atom, tuple, &newly_bound)) {
-        auto deeper = Recurse(index + 1);
-        Unbind(newly_bound);
-        if (!deeper.ok()) return deeper.status();
-        if (!*deeper) return false;
-      } else {
-        Unbind(newly_bound);
-      }
-    }
-    return true;
-  }
-
-  bool TryUnify(const Atom& atom, const Tuple& tuple,
-                std::vector<std::string>* newly_bound) {
-    for (size_t pos = 0; pos < tuple.size(); ++pos) {
-      const Term& term = atom.terms()[pos];
-      if (term.is_constant()) {
-        if (term.constant() != tuple[pos]) return false;
-        continue;
-      }
-      auto [it, inserted] = valuation_.emplace(term.var_name(), tuple[pos]);
-      if (inserted) {
-        newly_bound->push_back(term.var_name());
-      } else if (it->second != tuple[pos]) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  void Unbind(const std::vector<std::string>& names) {
-    for (const std::string& name : names) valuation_.erase(name);
-  }
-
-  const ConjunctiveQuery& query_;
-  const Database& db_;
-  const std::function<bool(const Valuation&)>& fn_;
-  Valuation valuation_;
-  std::vector<char> builtin_done_;
-  std::vector<size_t> done_trail_;
-};
-
-}  // namespace
-
 Result<bool> ConjunctiveQuery::ForEachValuation(
     const Database& db, const Valuation& initial,
     const std::function<bool(const Valuation&)>& fn) const {
-  if (eval::CompiledEvalEnabled()) {
-    return eval::GetOrCompilePlan(*this, initial)->ForEach(db, initial, fn);
-  }
-  PSC_OBS_COUNTER_INC("eval.execs.legacy");
-  Evaluator evaluator(*this, db, fn);
-  return evaluator.Run(initial);
+  return eval::GetOrCompilePlan(*this, initial)->ForEach(db, initial, fn);
 }
 
 Result<Relation> ConjunctiveQuery::Evaluate(const Database& db) const {
-  if (eval::CompiledEvalEnabled()) {
-    static const Valuation kNoBindings;
-    return eval::GetOrCompilePlan(*this, kNoBindings)->Evaluate(db);
-  }
-  Relation result;
-  Status ground_error;
-  PSC_ASSIGN_OR_RETURN(
-      const bool completed,
-      ForEachValuation(db, Valuation(),
-                       [&](const Valuation& valuation) {
-                         auto tuple = GroundTerms(head_.terms(), valuation);
-                         if (!tuple.ok()) {
-                           ground_error = tuple.status();
-                           return false;
-                         }
-                         result.insert(std::move(*tuple));
-                         return true;
-                       }));
-  if (!completed && !ground_error.ok()) return ground_error;
-  return result;
+  static const Valuation kNoBindings;
+  return eval::GetOrCompilePlan(*this, kNoBindings)->Evaluate(db);
 }
 
 Result<std::optional<Valuation>> ConjunctiveQuery::UnifyHead(
@@ -308,10 +174,10 @@ Result<std::vector<Valuation>> ConjunctiveQuery::WitnessValuations(
                                        return true;
                                      })
                         .status());
-  // Canonical order: the compiled and legacy engines enumerate in
-  // different (both deterministic) orders; sorting makes the witness list
-  // — and everything downstream that picks witnesses.front(), like the
-  // Lemma 3.1 shrink — engine-independent.
+  // Canonical order: the plan enumerates in its join order, which
+  // depends on the initial bindings; sorting makes the witness list — and
+  // everything downstream that picks witnesses.front(), like the Lemma 3.1
+  // shrink — a function of the witness set alone.
   std::sort(witnesses.begin(), witnesses.end());
   return witnesses;
 }

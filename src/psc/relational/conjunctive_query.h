@@ -75,9 +75,8 @@ class ConjunctiveQuery {
   /// \brief φ(D): evaluates the view over a database, returning the set of
   /// head tuples.
   ///
-  /// Routed through a compiled slot-based join plan with lazy hash indexes
-  /// (see query_plan.h) unless `eval::SetCompiledEvalEnabled(false)`
-  /// selects the legacy interpreter; both produce the same canonical set.
+  /// Runs the memoized compiled slot-based join plan with lazy hash
+  /// indexes (see query_plan.h).
   Result<Relation> Evaluate(const Database& db) const;
 
   /// \brief Enumerates every valuation of the body variables that embeds
@@ -85,16 +84,16 @@ class ConjunctiveQuery {
   /// valuation `initial`. `fn` returns false to stop; the final return is
   /// false iff stopped early.
   ///
-  /// The set of enumerated valuations is engine-independent, but the
-  /// enumeration *order* is unspecified (the compiled engine reorders the
-  /// join); each engine's order is deterministic for fixed inputs.
+  /// The enumeration *order* is unspecified: the compiled plan reorders
+  /// the join by which variables `initial` binds. It is deterministic for
+  /// fixed inputs.
   Result<bool> ForEachValuation(
       const Database& db, const Valuation& initial,
       const std::function<bool(const Valuation&)>& fn) const;
 
   /// \brief Valuations θ witnessing `head_tuple` ∈ φ(D):
   /// head(φ)θ = head_tuple and body(φ)θ ⊆ D (built-ins satisfied).
-  /// Sorted, so the result is identical across evaluation engines.
+  /// Sorted: the canonical witness order, independent of the join order.
   ///
   /// Used by the Lemma 3.1 construction and the template builder.
   Result<std::vector<Valuation>> WitnessValuations(

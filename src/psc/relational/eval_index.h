@@ -55,8 +55,8 @@ struct TupleHash {
 /// `positions` (ascending) are the indexed tuple positions; `buckets` maps
 /// each observed sub-tuple at those positions to the matching tuples, in
 /// canonical relation order. Only tuples whose size equals `arity` are
-/// indexed — the evaluator skips arity-mismatched tuples exactly like the
-/// legacy interpreter's full scan.
+/// indexed — the evaluator skips arity-mismatched tuples exactly like its
+/// full-scan path.
 struct RelationIndex {
   size_t arity = 0;
   std::vector<uint32_t> positions;

@@ -1,7 +1,6 @@
 #include "psc/relational/query_plan.h"
 
 #include <algorithm>
-#include <atomic>
 #include <map>
 #include <set>
 #include <utility>
@@ -16,8 +15,6 @@ namespace psc {
 namespace eval {
 
 namespace {
-
-std::atomic<bool> g_compiled_eval_enabled{true};
 
 using PlanCache = exec::ShardedMemoCache<std::shared_ptr<const QueryPlan>>;
 
@@ -50,14 +47,6 @@ std::string PlanKey(const ConjunctiveQuery& query,
 }
 
 }  // namespace
-
-bool CompiledEvalEnabled() {
-  return g_compiled_eval_enabled.load(std::memory_order_relaxed);
-}
-
-void SetCompiledEvalEnabled(bool enabled) {
-  g_compiled_eval_enabled.store(enabled, std::memory_order_relaxed);
-}
 
 std::shared_ptr<const QueryPlan> QueryPlan::Compile(
     const ConjunctiveQuery& query,
@@ -322,7 +311,7 @@ Result<bool> QueryPlan::ForEach(
   // Load the caller's bindings: query variables fill their slots (the plan
   // must have been compiled for exactly this bound set — GetOrCompilePlan
   // guarantees it); foreign variables pass through into every emitted
-  // valuation, mirroring the legacy interpreter.
+  // valuation.
   std::map<std::string, uint32_t> prebound(prebound_.begin(), prebound_.end());
   Valuation extras;
   for (const auto& [name, value] : initial) {

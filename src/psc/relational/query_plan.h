@@ -5,11 +5,10 @@
 /// Compiled evaluation of conjunctive queries: slot-based join plans over
 /// lazy hash indexes.
 ///
-/// `ConjunctiveQuery::Evaluate` / `ForEachValuation` historically ran a
-/// naive interpreter: a full scan of each body relation at every recursion
-/// depth, bindings in a string-keyed `std::map`, and a `builtin_done`
-/// vector copied per recursive call. A `QueryPlan` compiles the query once
-/// and replaces all of that on the hot path:
+/// `ConjunctiveQuery::Evaluate` / `ForEachValuation` always run a
+/// `QueryPlan`. Instead of a naive interpreter's full scan of each body
+/// relation at every recursion depth with bindings in a string-keyed
+/// `std::map`, a plan compiles the query once:
 ///
 ///  * every variable resolves to a dense integer slot; one flat
 ///    `std::vector<Value>` frame is reused for the entire enumeration;
@@ -30,16 +29,15 @@
 /// Determinism: join steps enumerate candidate tuples in the relation's
 /// canonical sorted order (scans directly, probes via buckets that
 /// preserve it), so a plan's valuation order is a deterministic function
-/// of (query, initial bindings, database) — but it is NOT the legacy
-/// interpreter's order, because atoms are reordered. `Evaluate` is
-/// unaffected (results land in a canonical `Relation` set);
-/// `WitnessValuations` sorts its output so both engines agree exactly.
+/// of (query, initial bindings, database) — but not body-atom order,
+/// because atoms are reordered. `Evaluate` is unaffected (results land in
+/// a canonical `Relation` set); `WitnessValuations` sorts its output into
+/// the canonical witness order.
 ///
 /// Plans are memoized in a process-wide sharded cache keyed by the query's
 /// canonical string plus the set of initially bound variables; see
-/// `GetOrCompilePlan`. The legacy interpreter remains available behind
-/// `SetCompiledEvalEnabled(false)` (CLI `--no-compiled-eval`) for
-/// differential testing.
+/// `GetOrCompilePlan`. The differential tests check plans against a
+/// nested-loop reference interpreter (tests/oracle/eval_oracle.h).
 
 #include <cstdint>
 #include <functional>
@@ -53,12 +51,6 @@
 
 namespace psc {
 namespace eval {
-
-/// \brief Process-wide switch between the compiled engine and the legacy
-/// interpreter. Defaults to compiled; flip from the CLI with
-/// `--no-compiled-eval` or `QuerySystem::Options::use_compiled_eval`.
-bool CompiledEvalEnabled();
-void SetCompiledEvalEnabled(bool enabled);
 
 /// \brief A conjunctive query compiled for repeated evaluation.
 ///
@@ -77,8 +69,8 @@ class QueryPlan {
   /// enumerates every valuation extending `initial` that embeds the body
   /// into `db` and satisfies all built-ins. `initial` must bind exactly the
   /// query variables the plan was compiled with (plus any number of
-  /// non-query variables, which pass through into each emitted valuation,
-  /// mirroring the interpreter). Returns false iff `fn` stopped early.
+  /// non-query variables, which pass through into each emitted valuation).
+  /// Returns false iff `fn` stopped early.
   Result<bool> ForEach(const Database& db, const Valuation& initial,
                        const std::function<bool(const Valuation&)>& fn) const;
 

@@ -154,7 +154,6 @@ Engine::~Engine() {
 QuerySystem::Options Engine::SystemOptions() const {
   QuerySystem::Options options;
   options.threads = options_.solver_threads;
-  options.use_compiled_eval = options_.use_compiled_eval;
   // Every resident system adopts the drain token: one Cancel at shutdown
   // degrades all in-flight solver work instead of racing it to finish.
   options.cancel = drain_token_;

@@ -86,8 +86,6 @@ struct EngineOptions {
   /// a resident server must bound what the one-shot CLI could let grow.
   size_t plan_cache_capacity = 0;
   size_t containment_cache_capacity = 0;
-  /// Forwarded to QuerySystem::Options (process-global switch).
-  bool use_compiled_eval = true;
   /// Give every request its own obs::Scope named "serve:<verb>:<seq>" so
   /// run reports break work down per request. Off by default: scopes
   /// accumulate in the report for as long as a handle lives.

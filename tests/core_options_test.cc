@@ -3,7 +3,6 @@
 
 #include "gtest/gtest.h"
 #include "psc/core/query_system.h"
-#include "psc/relational/query_plan.h"
 #include "test_util.h"
 
 namespace psc {
@@ -73,37 +72,6 @@ TEST(QuerySystemOptionsTest, DomainMustCoverExtensions) {
             StatusCode::kInvalidArgument);
   EXPECT_FALSE(
       system->AnswerExact(AlgebraExpr::Base("R", 1), IntDomain(2)).ok());
-}
-
-TEST(QuerySystemOptionsTest, UseCompiledEvalTogglesTheGlobalEngine) {
-  // The option is process-global by design (see Options docs): Create
-  // applies it immediately, and both settings answer identically.
-  const bool was_enabled = eval::CompiledEvalEnabled();
-
-  QuerySystem::Options options;
-  options.use_compiled_eval = false;
-  auto legacy_system = QuerySystem::Create(
-      MakeUnaryCollection({MakeUnarySource("S", {0}, "0", "0")}), options);
-  ASSERT_TRUE(legacy_system.ok());
-  EXPECT_FALSE(eval::CompiledEvalEnabled());
-  auto legacy =
-      legacy_system->AnswerExact(AlgebraExpr::Base("R", 1), IntDomain(4));
-  ASSERT_TRUE(legacy.ok());
-
-  options.use_compiled_eval = true;
-  auto compiled_system = QuerySystem::Create(
-      MakeUnaryCollection({MakeUnarySource("S", {0}, "0", "0")}), options);
-  ASSERT_TRUE(compiled_system.ok());
-  EXPECT_TRUE(eval::CompiledEvalEnabled());
-  auto compiled =
-      compiled_system->AnswerExact(AlgebraExpr::Base("R", 1), IntDomain(4));
-  ASSERT_TRUE(compiled.ok());
-
-  EXPECT_EQ(compiled->certain, legacy->certain);
-  EXPECT_EQ(compiled->possible, legacy->possible);
-  EXPECT_EQ(compiled->confidences.entries(), legacy->confidences.entries());
-
-  eval::SetCompiledEvalEnabled(was_enabled);
 }
 
 TEST(QuerySystemOptionsTest, MonteCarloSamplerRespectsShapeBudget) {

@@ -1,19 +1,19 @@
 // Differential tests for the incremental delta engine: a database (or
 // collection) maintained through random insert/retract deltas must be
 // bit-identical — contents, query results, verdicts, confidences — to one
-// rebuilt from scratch at the same logical state, across both evaluation
-// engines and across thread counts.
+// rebuilt from scratch at the same logical state, under both the compiled
+// evaluation engine and the reference oracle, and across thread counts.
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "oracle/eval_oracle.h"
 #include "psc/delta/incremental.h"
 #include "psc/parser/parser.h"
 #include "psc/relational/conjunctive_query.h"
 #include "psc/relational/database.h"
-#include "psc/relational/query_plan.h"
 #include "psc/source/source_collection.h"
 #include "psc/util/random.h"
 #include "psc/util/rational.h"
@@ -27,18 +27,6 @@ ConjunctiveQuery Q(const std::string& text) {
   EXPECT_TRUE(query.ok()) << query.status().ToString();
   return *std::move(query);
 }
-
-/// Restores the process-global engine switch on scope exit.
-class EngineGuard {
- public:
-  explicit EngineGuard(bool compiled) : saved_(eval::CompiledEvalEnabled()) {
-    eval::SetCompiledEvalEnabled(compiled);
-  }
-  ~EngineGuard() { eval::SetCompiledEvalEnabled(saved_); }
-
- private:
-  bool saved_;
-};
 
 DatabaseDelta RandomDelta(Rng& rng, const Database& db) {
   DatabaseDelta delta;
@@ -82,17 +70,16 @@ TEST(DeltaDifferentialTest, StreamedDatabaseMatchesRebuiltAcrossEngines) {
       for (const Fact& fact : streamed.AllFacts()) rebuilt.AddFact(fact);
       ASSERT_EQ(streamed, rebuilt) << "seed " << seed << " step " << step;
 
-      for (const bool compiled : {true, false}) {
-        EngineGuard guard(compiled);
-        for (const ConjunctiveQuery* query : {&two_hop, &triangle}) {
-          auto live = query->Evaluate(streamed);
-          auto fresh = query->Evaluate(rebuilt);
-          ASSERT_TRUE(live.ok()) << live.status().ToString();
-          ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
-          EXPECT_EQ(*live, *fresh)
-              << "seed " << seed << " step " << step << " compiled "
-              << compiled;
-        }
+      for (const ConjunctiveQuery* query : {&two_hop, &triangle}) {
+        auto live = query->Evaluate(streamed);
+        auto fresh = query->Evaluate(rebuilt);
+        auto reference = oracle::Evaluate(*query, streamed);
+        ASSERT_TRUE(live.ok()) << live.status().ToString();
+        ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+        ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+        EXPECT_EQ(*live, *fresh) << "seed " << seed << " step " << step;
+        EXPECT_EQ(*live, *reference)
+            << "oracle mismatch, seed " << seed << " step " << step;
       }
     }
   }

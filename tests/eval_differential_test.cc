@@ -1,17 +1,22 @@
 // Differential property tests: the compiled slot-based evaluation engine
-// (query_plan.h) must be observably identical to the legacy nested-loop
-// interpreter on randomly generated query/database pairs — including
-// built-in-heavy queries, Cartesian products, evaluation under database
-// mutation (index invalidation) and the QuerySystem surface at different
-// thread counts. Seeds are printed on failure for replay.
+// (query_plan.h) must be observably identical to the nested-loop reference
+// interpreter (oracle/eval_oracle.h) on randomly generated query/database
+// pairs — including built-in-heavy queries, Cartesian products, evaluation
+// under database mutation (index invalidation) and the QuerySystem
+// surface at different thread counts. Seeds are printed on failure for
+// replay.
 
 #include <cstdint>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "oracle/eval_oracle.h"
 #include "psc/core/query_system.h"
+#include "psc/counting/identity_instance.h"
+#include "psc/counting/world_enumerator.h"
 #include "psc/relational/conjunctive_query.h"
 #include "psc/relational/database.h"
 #include "psc/relational/query_plan.h"
@@ -27,14 +32,8 @@ using testing::Q;
 
 class EvalDifferentialTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    eval::SetCompiledEvalEnabled(true);
-    eval::ClearQueryPlanCache();
-  }
-  void TearDown() override {
-    eval::SetCompiledEvalEnabled(true);
-    eval::ClearQueryPlanCache();
-  }
+  void SetUp() override { eval::ClearQueryPlanCache(); }
+  void TearDown() override { eval::ClearQueryPlanCache(); }
 };
 
 constexpr const char* kBuiltins[] = {"Lt", "Le", "Gt", "Ge",
@@ -123,41 +122,43 @@ RandomInstance MakeRandomInstance(Rng& rng, size_t num_atoms,
   return {std::move(query).ValueOrDie(), std::move(db)};
 }
 
-/// All valuations enumerated for (query, db, initial), as a canonical set.
+/// All valuations enumerated for (query, db, initial) by the compiled
+/// engine, or by the oracle when `compiled` is false, as a canonical set.
 std::set<Valuation> CollectValuations(const ConjunctiveQuery& query,
                                       const Database& db,
-                                      const Valuation& initial) {
+                                      const Valuation& initial,
+                                      bool compiled) {
   std::set<Valuation> out;
-  auto status = query.ForEachValuation(db, initial, [&](const Valuation& v) {
+  const auto collect = [&](const Valuation& v) {
     out.insert(v);
     return true;
-  });
+  };
+  auto status = compiled
+                    ? query.ForEachValuation(db, initial, collect)
+                    : oracle::ForEachValuation(query, db, initial, collect);
   EXPECT_TRUE(status.ok()) << status.status().ToString();
   return out;
 }
 
-/// Asserts compiled and legacy agree on Evaluate and on the valuation set,
-/// with and without an initial binding.
+/// Asserts the compiled engine and the oracle agree on Evaluate and on
+/// the valuation set, with and without an initial binding.
 void ExpectEnginesAgree(const ConjunctiveQuery& query, const Database& db,
                         const Valuation& initial, uint64_t seed) {
-  eval::SetCompiledEvalEnabled(true);
   auto compiled_eval = query.Evaluate(db);
-  const auto compiled_vals = CollectValuations(query, db, {});
-  const auto compiled_bound = CollectValuations(query, db, initial);
+  const auto compiled_vals = CollectValuations(query, db, {}, true);
+  const auto compiled_bound = CollectValuations(query, db, initial, true);
 
-  eval::SetCompiledEvalEnabled(false);
-  auto legacy_eval = query.Evaluate(db);
-  const auto legacy_vals = CollectValuations(query, db, {});
-  const auto legacy_bound = CollectValuations(query, db, initial);
-  eval::SetCompiledEvalEnabled(true);
+  auto oracle_eval = oracle::Evaluate(query, db);
+  const auto oracle_vals = CollectValuations(query, db, {}, false);
+  const auto oracle_bound = CollectValuations(query, db, initial, false);
 
   ASSERT_TRUE(compiled_eval.ok()) << compiled_eval.status().ToString();
-  ASSERT_TRUE(legacy_eval.ok()) << legacy_eval.status().ToString();
-  EXPECT_EQ(*compiled_eval, *legacy_eval)
+  ASSERT_TRUE(oracle_eval.ok()) << oracle_eval.status().ToString();
+  EXPECT_EQ(*compiled_eval, *oracle_eval)
       << "Evaluate mismatch, seed=" << seed << " query=" << query.ToString();
-  EXPECT_EQ(compiled_vals, legacy_vals)
+  EXPECT_EQ(compiled_vals, oracle_vals)
       << "valuation mismatch, seed=" << seed << " query=" << query.ToString();
-  EXPECT_EQ(compiled_bound, legacy_bound)
+  EXPECT_EQ(compiled_bound, oracle_bound)
       << "bound-valuation mismatch, seed=" << seed
       << " query=" << query.ToString();
 }
@@ -230,7 +231,7 @@ TEST_F(EvalDifferentialTest, MutationSequenceKeepsEnginesInAgreement) {
                                      /*domain=*/6, /*tuples_per_relation=*/32);
   // Interleave evaluations with mutations: every evaluation after a
   // mutation must see the new facts (stale indexes would diverge from the
-  // legacy interpreter, which scans fresh state every time).
+  // oracle, which scans fresh state every time).
   for (int step = 0; step < 12; ++step) {
     SCOPED_TRACE("mutation step " + std::to_string(step));
     ExpectEnginesAgree(instance.query, instance.db, {}, kSeed);
@@ -248,8 +249,9 @@ TEST_F(EvalDifferentialTest, MutationSequenceKeepsEnginesInAgreement) {
 }
 
 TEST_F(EvalDifferentialTest, QuerySystemIdenticalAcrossEnginesAndThreads) {
-  // End-to-end: exact answers (confidences, certain, possible) must be
-  // bit-identical across {compiled, legacy} × {1 thread, 4 threads}.
+  // End-to-end: exact answers (confidences, certain, possible) at 1 and 4
+  // threads must be bit-identical to a reference answer that evaluates the
+  // query with the oracle in every possible world.
   auto make_collection = [] {
     // Known-satisfiable measures (same shape as the obs integration test).
     return MakeUnaryCollection(
@@ -259,27 +261,47 @@ TEST_F(EvalDifferentialTest, QuerySystemIdenticalAcrossEnginesAndThreads) {
   const auto domain = testing::IntDomain(3);
   const auto query = Q("V(x, y) <- R(x), R(y), Before(x, y)");
 
-  std::vector<QueryAnswer> answers;
-  for (const bool compiled : {true, false}) {
-    for (const size_t threads : {size_t{1}, size_t{4}}) {
-      QuerySystem::Options options;
-      options.use_compiled_eval = compiled;
-      options.threads = threads;
-      PSC_ASSERT_OK_AND_ASSIGN(
-          auto system, QuerySystem::Create(make_collection(), options));
-      PSC_ASSERT_OK_AND_ASSIGN(auto answer,
-                               system.AnswerExact(query, domain));
-      answers.push_back(std::move(answer));
-    }
+  const SourceCollection collection = make_collection();
+  PSC_ASSERT_OK_AND_ASSIGN(const IdentityInstance instance,
+                           IdentityInstance::Create(collection, domain));
+  std::map<Tuple, uint64_t> counts;
+  uint64_t worlds = 0;
+  Status oracle_status;
+  const auto visited = IdentityWorldEnumerator(&instance).ForEachWorld(
+      [&](const Database& world) {
+        auto answers = oracle::Evaluate(query, world);
+        if (!answers.ok()) {
+          oracle_status = answers.status();
+          return false;
+        }
+        for (const Tuple& tuple : *answers) ++counts[tuple];
+        ++worlds;
+        return true;
+      });
+  ASSERT_TRUE(visited.ok()) << visited.status().ToString();
+  PSC_ASSERT_OK(oracle_status);
+  ASSERT_GT(worlds, 0u);
+  QueryAnswer expected;
+  expected.worlds_used = worlds;
+  expected.confidences = ProbRelation(query.head().arity());
+  for (const auto& [tuple, count] : counts) {
+    expected.possible.insert(tuple);
+    if (count == worlds) expected.certain.insert(tuple);
+    PSC_ASSERT_OK(expected.confidences.Insert(
+        tuple, static_cast<double>(count) / static_cast<double>(worlds)));
   }
-  eval::SetCompiledEvalEnabled(true);
 
-  for (size_t i = 1; i < answers.size(); ++i) {
-    SCOPED_TRACE("configuration " + std::to_string(i));
-    EXPECT_EQ(answers[i].certain, answers[0].certain);
-    EXPECT_EQ(answers[i].possible, answers[0].possible);
-    EXPECT_EQ(answers[i].confidences.entries(), answers[0].confidences.entries());
-    EXPECT_EQ(answers[i].worlds_used, answers[0].worlds_used);
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    QuerySystem::Options options;
+    options.threads = threads;
+    PSC_ASSERT_OK_AND_ASSIGN(auto system,
+                             QuerySystem::Create(make_collection(), options));
+    PSC_ASSERT_OK_AND_ASSIGN(auto answer, system.AnswerExact(query, domain));
+    EXPECT_EQ(answer.certain, expected.certain);
+    EXPECT_EQ(answer.possible, expected.possible);
+    EXPECT_EQ(answer.confidences.entries(), expected.confidences.entries());
+    EXPECT_EQ(answer.worlds_used, expected.worlds_used);
   }
 }
 

@@ -1,8 +1,8 @@
 // Unit tests for the compiled query-evaluation layer (query_plan.h /
 // eval_index.h): join ordering, slot assignment, built-in hoisting, the
 // plan memo cache, lazy index construction and generation-based
-// invalidation. Differential compiled-vs-legacy coverage lives in
-// eval_differential_test.cc.
+// invalidation. Randomized differential coverage against the oracle
+// lives in eval_differential_test.cc.
 
 #include "psc/relational/query_plan.h"
 
@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "oracle/eval_oracle.h"
 #include "psc/obs/metrics.h"
 #include "psc/relational/conjunctive_query.h"
 #include "psc/relational/database.h"
@@ -25,27 +26,23 @@ using testing::Q;
 class EvalPlanTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    eval::SetCompiledEvalEnabled(true);
     eval::ClearQueryPlanCache();
     obs::GlobalMetrics().Reset();
   }
   void TearDown() override {
-    eval::SetCompiledEvalEnabled(true);
     eval::ClearQueryPlanCache();
     obs::GlobalMetrics().Reset();
   }
 
-  /// Evaluates `query` on `db` with both engines and returns the (asserted
-  /// equal) result.
+  /// Evaluates `query` on `db` with the compiled engine and the oracle and
+  /// returns the (asserted equal) result.
   Relation BothEngines(const ConjunctiveQuery& query, const Database& db) {
-    eval::SetCompiledEvalEnabled(true);
     auto compiled = query.Evaluate(db);
     EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
-    eval::SetCompiledEvalEnabled(false);
-    auto legacy = query.Evaluate(db);
-    EXPECT_TRUE(legacy.ok()) << legacy.status().ToString();
-    eval::SetCompiledEvalEnabled(true);
-    EXPECT_EQ(*compiled, *legacy) << "engines disagree on " << query.ToString();
+    auto reference = oracle::Evaluate(query, db);
+    EXPECT_TRUE(reference.ok()) << reference.status().ToString();
+    EXPECT_EQ(*compiled, *reference)
+        << "engines disagree on " << query.ToString();
     return std::move(compiled).ValueOrDie();
   }
 };
@@ -86,9 +83,9 @@ TEST_F(EvalPlanTest, PreboundVariablesCountAsBoundFromStepZero) {
 }
 
 TEST_F(EvalPlanTest, BuiltinsHoistToEarliestBoundStep) {
-  // After(x, 5) only needs x, which step 0 binds; the legacy interpreter
-  // would discover it after the full join. DebugString is the designated
-  // introspection surface for hoisting.
+  // After(x, 5) only needs x, which step 0 binds, so it runs before
+  // step 1. DebugString is the designated introspection surface for
+  // hoisting.
   const auto plan =
       eval::QueryPlan::Compile(Q("V(x, y) <- R(x), S(y), After(x, 5)"), {});
   ASSERT_NE(plan, nullptr);
@@ -195,14 +192,20 @@ TEST_F(EvalPlanTest, WitnessValuationsSortedAndEngineIndependent) {
   const auto query = Q("V(y) <- E(x, y)");
   const Tuple target{Value(int64_t{42})};
 
-  eval::SetCompiledEvalEnabled(true);
   auto compiled = query.WitnessValuations(db, target);
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-  eval::SetCompiledEvalEnabled(false);
-  auto legacy = query.WitnessValuations(db, target);
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
+  PSC_ASSERT_OK_AND_ASSIGN(const auto initial, query.UnifyHead(target));
+  ASSERT_TRUE(initial.has_value());
+  std::vector<Valuation> reference;
+  PSC_ASSERT_OK(oracle::ForEachValuation(query, db, *initial,
+                                         [&](const Valuation& valuation) {
+                                           reference.push_back(valuation);
+                                           return true;
+                                         })
+                    .status());
+  std::sort(reference.begin(), reference.end());
 
-  EXPECT_EQ(*compiled, *legacy);
+  EXPECT_EQ(*compiled, reference);
   EXPECT_TRUE(std::is_sorted(compiled->begin(), compiled->end()));
   EXPECT_EQ(compiled->size(), 5u);
 }
@@ -325,20 +328,6 @@ TEST_F(EvalPlanTest, ObsCountersTrackPlansIndexesAndProbes) {
   EXPECT_EQ(metrics.CounterValue("eval.index.builds"), builds);
   EXPECT_GT(metrics.CounterValue("eval.index.hits"), 0u);
   EXPECT_EQ(r1, r2);
-}
-
-TEST_F(EvalPlanTest, LegacyEngineCountsItsOwnExecutions) {
-  Database db;
-  db.AddFact("R", {Value(int64_t{1})});
-  const auto query = Q("V(x) <- R(x)");
-  auto& metrics = obs::GlobalMetrics();
-
-  eval::SetCompiledEvalEnabled(false);
-  EXPECT_FALSE(eval::CompiledEvalEnabled());
-  PSC_ASSERT_OK_AND_ASSIGN(const Relation r, query.Evaluate(db));
-  EXPECT_EQ(r.size(), 1u);
-  EXPECT_EQ(metrics.CounterValue("eval.execs.legacy"), 1u);
-  EXPECT_EQ(metrics.CounterValue("eval.execs.compiled"), 0u);
 }
 
 #endif  // PSC_OBS_ENABLED

@@ -92,16 +92,6 @@ TEST(ParallelReduceTest, MatchesSequentialSum) {
             expected);
 }
 
-TEST(CancellationTokenTest, CopiesShareStickyState) {
-  exec::CancellationToken token;
-  const exec::CancellationToken copy = token;
-  EXPECT_FALSE(token.cancelled());
-  EXPECT_FALSE(copy.cancelled());
-  copy.Cancel();
-  EXPECT_TRUE(token.cancelled());
-  EXPECT_TRUE(copy.cancelled());
-}
-
 TEST(ResolveThreadCountTest, ExplicitRequestWinsOverEnvironment) {
   setenv("PSC_THREADS", "7", /*overwrite=*/1);
   EXPECT_EQ(exec::ResolveThreadCount(3), 3u);

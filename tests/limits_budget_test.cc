@@ -10,7 +10,6 @@ namespace psc {
 namespace {
 
 using limits::Budget;
-using limits::BudgetOptions;
 using limits::CancelToken;
 using limits::StopReason;
 
@@ -19,7 +18,6 @@ TEST(BudgetTest, DefaultIsUnlimited) {
   EXPECT_FALSE(budget.active());
   for (int i = 0; i < 1000; ++i) EXPECT_TRUE(budget.Charge());
   EXPECT_FALSE(budget.Expired());
-  EXPECT_TRUE(budget.ChargeMemory(uint64_t{1} << 40));
   EXPECT_EQ(budget.reason(), StopReason::kNone);
   EXPECT_EQ(budget.nodes_charged(), 0u);
   EXPECT_TRUE(budget.ToStatus().ok());
@@ -107,33 +105,11 @@ TEST(BudgetTest, CancellingTheTokenTripsTheBudget) {
   EXPECT_EQ(budget.reason(), StopReason::kCancelled);
 }
 
-TEST(BudgetTest, MemoryBudgetTripsAndReleases) {
-  BudgetOptions options;
-  options.memory_budget_bytes = 1000;
-  const Budget budget(options);
-  EXPECT_TRUE(budget.ChargeMemory(600));
-  EXPECT_FALSE(budget.ChargeMemory(600));
-  EXPECT_EQ(budget.reason(), StopReason::kMemoryBudget);
-  EXPECT_EQ(budget.ToStatus().code(), StatusCode::kResourceExhausted);
-}
-
-TEST(BudgetTest, ReleaseMemoryUndoesACharge) {
-  BudgetOptions options;
-  options.memory_budget_bytes = 1000;
-  const Budget budget(options);
-  EXPECT_TRUE(budget.ChargeMemory(800));
-  budget.ReleaseMemory(800);
-  EXPECT_TRUE(budget.ChargeMemory(900));
-  EXPECT_EQ(budget.reason(), StopReason::kNone);
-}
-
 TEST(BudgetTest, StopReasonNames) {
   EXPECT_STREQ(limits::StopReasonToString(StopReason::kNone), "none");
   EXPECT_STREQ(limits::StopReasonToString(StopReason::kDeadline), "deadline");
   EXPECT_STREQ(limits::StopReasonToString(StopReason::kNodeBudget),
                "node-budget");
-  EXPECT_STREQ(limits::StopReasonToString(StopReason::kMemoryBudget),
-               "memory-budget");
   EXPECT_STREQ(limits::StopReasonToString(StopReason::kCancelled),
                "cancelled");
 }

@@ -46,81 +46,104 @@ TEST_F(ObsSchemaTest, EmptyReportValidates) {
   EXPECT_TRUE(status.ok()) << status.ToString();
 }
 
+/// Asserts `json` fails validation with a message naming `defect`, so a
+/// negative fixture cannot pass by failing for some other reason.
+void ExpectRejectedFor(const std::string& json, const std::string& defect) {
+  const Status status = obs::ValidateRunReportJson(json);
+  EXPECT_FALSE(status.ok()) << json;
+  EXPECT_NE(status.message().find(defect), std::string::npos)
+      << "expected a '" << defect << "' error, got " << status.ToString();
+}
+
 TEST_F(ObsSchemaTest, MinimalHandWrittenDocumentValidates) {
   const std::string minimal =
+      "{\"schema_version\":2,\"counters\":{},\"gauges\":{},"
+      "\"histograms\":{},\"spans\":[],\"spans_dropped\":0,\"queries\":{}}";
+  const Status status = obs::ValidateRunReportJson(minimal);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+}
+
+TEST_F(ObsSchemaTest, RejectsSchemaV1Documents) {
+  // The v1 layout (no p95, no span tid/scope, no queries section) is no
+  // longer accepted, even when it is otherwise well formed.
+  const std::string v1_minimal =
       "{\"schema_version\":1,\"counters\":{},\"gauges\":{},"
       "\"histograms\":{},\"spans\":[],\"spans_dropped\":0}";
-  EXPECT_TRUE(obs::ValidateRunReportJson(minimal).ok());
+  ExpectRejectedFor(v1_minimal, "unsupported schema_version 1");
+  const std::string v1_with_queries =
+      "{\"schema_version\":1,\"counters\":{},\"gauges\":{},"
+      "\"histograms\":{},\"spans\":[],\"spans_dropped\":0,\"queries\":{}}";
+  ExpectRejectedFor(v1_with_queries, "unsupported schema_version 1");
 }
 
 TEST_F(ObsSchemaTest, RejectsMalformedDocuments) {
   // Not JSON at all.
   EXPECT_FALSE(obs::ValidateRunReportJson("not json").ok());
   // Not an object.
-  EXPECT_FALSE(obs::ValidateRunReportJson("[1,2]").ok());
+  ExpectRejectedFor("[1,2]", "not an object");
   // Missing schema_version.
-  EXPECT_FALSE(obs::ValidateRunReportJson(
-                   "{\"counters\":{},\"gauges\":{},\"histograms\":{},"
-                   "\"spans\":[],\"spans_dropped\":0}")
-                   .ok());
+  ExpectRejectedFor(
+      "{\"counters\":{},\"gauges\":{},\"histograms\":{},"
+      "\"spans\":[],\"spans_dropped\":0,\"queries\":{}}",
+      "missing numeric schema_version");
   // Unsupported schema_version.
-  EXPECT_FALSE(obs::ValidateRunReportJson(
-                   "{\"schema_version\":99,\"counters\":{},\"gauges\":{},"
-                   "\"histograms\":{},\"spans\":[],\"spans_dropped\":0}")
-                   .ok());
+  ExpectRejectedFor(
+      "{\"schema_version\":99,\"counters\":{},\"gauges\":{},"
+      "\"histograms\":{},\"spans\":[],\"spans_dropped\":0,\"queries\":{}}",
+      "unsupported schema_version 99");
   // Negative counter.
-  EXPECT_FALSE(obs::ValidateRunReportJson(
-                   "{\"schema_version\":1,\"counters\":{\"c\":-1},"
-                   "\"gauges\":{},\"histograms\":{},\"spans\":[],"
-                   "\"spans_dropped\":0}")
-                   .ok());
+  ExpectRejectedFor(
+      "{\"schema_version\":2,\"counters\":{\"c\":-1},"
+      "\"gauges\":{},\"histograms\":{},\"spans\":[],"
+      "\"spans_dropped\":0,\"queries\":{}}",
+      "counter 'c' negative");
   // Counter value of the wrong JSON type.
-  EXPECT_FALSE(obs::ValidateRunReportJson(
-                   "{\"schema_version\":1,\"counters\":{\"c\":\"five\"},"
-                   "\"gauges\":{},\"histograms\":{},\"spans\":[],"
-                   "\"spans_dropped\":0}")
-                   .ok());
+  ExpectRejectedFor(
+      "{\"schema_version\":2,\"counters\":{\"c\":\"five\"},"
+      "\"gauges\":{},\"histograms\":{},\"spans\":[],"
+      "\"spans_dropped\":0,\"queries\":{}}",
+      "counter 'c' not numeric");
 }
 
 TEST_F(ObsSchemaTest, RejectsHistogramInvariantViolations) {
   // min > max is impossible for a real histogram.
   const std::string min_above_max =
-      "{\"schema_version\":1,\"counters\":{},\"gauges\":{},"
+      "{\"schema_version\":2,\"counters\":{},\"gauges\":{},"
       "\"histograms\":{\"h\":{\"count\":2,\"sum\":10,\"min\":8,\"max\":2,"
-      "\"mean\":5,\"p50\":5,\"p90\":8,\"p99\":8}},"
-      "\"spans\":[],\"spans_dropped\":0}";
-  EXPECT_FALSE(obs::ValidateRunReportJson(min_above_max).ok());
+      "\"mean\":5,\"p50\":5,\"p90\":8,\"p95\":8,\"p99\":8}},"
+      "\"spans\":[],\"spans_dropped\":0,\"queries\":{}}";
+  ExpectRejectedFor(min_above_max, "has min > max");
   // A sum without any samples.
   const std::string sum_without_samples =
-      "{\"schema_version\":1,\"counters\":{},\"gauges\":{},"
+      "{\"schema_version\":2,\"counters\":{},\"gauges\":{},"
       "\"histograms\":{\"h\":{\"count\":0,\"sum\":10,\"min\":0,\"max\":0,"
-      "\"mean\":0,\"p50\":0,\"p90\":0,\"p99\":0}},"
-      "\"spans\":[],\"spans_dropped\":0}";
-  EXPECT_FALSE(obs::ValidateRunReportJson(sum_without_samples).ok());
+      "\"mean\":0,\"p50\":0,\"p90\":0,\"p95\":0,\"p99\":0}},"
+      "\"spans\":[],\"spans_dropped\":0,\"queries\":{}}";
+  ExpectRejectedFor(sum_without_samples, "has sum without samples");
 }
 
 TEST_F(ObsSchemaTest, RejectsDanglingSpanParents) {
   const std::string dangling_parent =
-      "{\"schema_version\":1,\"counters\":{},\"gauges\":{},"
+      "{\"schema_version\":2,\"counters\":{},\"gauges\":{},"
       "\"histograms\":{},"
       "\"spans\":[{\"id\":1,\"parent\":99,\"name\":\"s\",\"depth\":1,"
-      "\"start_us\":0,\"duration_us\":1}],"
-      "\"spans_dropped\":0}";
-  EXPECT_FALSE(obs::ValidateRunReportJson(dangling_parent).ok());
+      "\"start_us\":0,\"duration_us\":1,\"tid\":1,\"scope\":0}],"
+      "\"spans_dropped\":0,\"queries\":{}}";
+  ExpectRejectedFor(dangling_parent, "span parent 99 not present");
   // The same link is tolerated when spans were dropped: the parent may
   // simply have fallen out of the buffer.
   const std::string dangling_but_truncated =
-      "{\"schema_version\":1,\"counters\":{},\"gauges\":{},"
+      "{\"schema_version\":2,\"counters\":{},\"gauges\":{},"
       "\"histograms\":{},"
       "\"spans\":[{\"id\":1,\"parent\":99,\"name\":\"s\",\"depth\":1,"
-      "\"start_us\":0,\"duration_us\":1}],"
-      "\"spans_dropped\":3}";
-  EXPECT_TRUE(obs::ValidateRunReportJson(dangling_but_truncated).ok());
+      "\"start_us\":0,\"duration_us\":1,\"tid\":1,\"scope\":0}],"
+      "\"spans_dropped\":3,\"queries\":{}}";
+  const Status status = obs::ValidateRunReportJson(dangling_but_truncated);
+  EXPECT_TRUE(status.ok()) << status.ToString();
 }
 
 TEST_F(ObsSchemaTest, SchemaV2RequiresQueriesSection) {
-  // v1 documents never carry queries and must stay accepted (archived
-  // bench baselines); v2 documents must carry the section, even empty.
+  // Documents must carry the queries section, even empty.
   const std::string v2_minimal =
       "{\"schema_version\":2,\"counters\":{},\"gauges\":{},"
       "\"histograms\":{},\"spans\":[],\"spans_dropped\":0,\"queries\":{}}";
@@ -128,7 +151,7 @@ TEST_F(ObsSchemaTest, SchemaV2RequiresQueriesSection) {
   const std::string v2_missing_queries =
       "{\"schema_version\":2,\"counters\":{},\"gauges\":{},"
       "\"histograms\":{},\"spans\":[],\"spans_dropped\":0}";
-  EXPECT_FALSE(obs::ValidateRunReportJson(v2_missing_queries).ok());
+  ExpectRejectedFor(v2_missing_queries, "missing queries object");
 }
 
 TEST_F(ObsSchemaTest, SchemaV2ValidatesPerQueryEntries) {
@@ -149,7 +172,7 @@ TEST_F(ObsSchemaTest, SchemaV2ValidatesPerQueryEntries) {
 }
 
 TEST_F(ObsSchemaTest, SchemaV2RequiresSpanThreadAndScopeFields) {
-  // v2 spans carry tid/scope; v1 spans (no such fields) stay accepted.
+  // Spans must carry tid/scope.
   const std::string v2_span_without_tid =
       "{\"schema_version\":2,\"counters\":{},\"gauges\":{},"
       "\"histograms\":{},"

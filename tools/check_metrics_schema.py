@@ -3,16 +3,15 @@
 
 Accepts either format the toolchain emits:
   * a single run report object, as written by `psc ... --metrics-out=FILE`
-    (schema_version 1 or 2; see src/psc/obs/report.h), or
+    (schema_version 2; see src/psc/obs/report.h), or
   * JSON-lines of bench metrics records, one
     `{"bench": <name>, "metrics": <run report>}` object per line, as
     appended by the benchmarks when PSC_BENCH_METRICS_OUT is set.
 
-Schema v2 extends v1 with interpolated percentiles (p95 joins the
-histogram fields), per-span `tid`/`scope` fields, and a per-query
-`queries` object carrying each obs::Scope's deltas and limits trip.
-Both versions validate; v1 artifacts (e.g. checked-in bench baselines)
-stay accepted forever.
+Schema v2 carries interpolated percentiles (p95 among the histogram
+fields), per-span `tid`/`scope` fields, and a per-query `queries` object
+holding each obs::Scope's deltas and limits trip. Schema v1 (no p95, no
+span `tid`/`scope`, no `queries`) is rejected.
 
 Usage:
   check_metrics_schema.py FILE...
@@ -32,8 +31,7 @@ import argparse
 import json
 import sys
 
-MIN_SCHEMA_VERSION = 1
-MAX_SCHEMA_VERSION = 2
+SCHEMA_VERSION = 2
 
 # Every instrument name must live under a known subsystem prefix, so a
 # typo'd or undocumented metric fails CI instead of silently shipping.
@@ -59,10 +57,10 @@ KNOWN_PREFIXES = (
     "trace.",
 )
 
-HISTOGRAM_FIELDS = ("count", "sum", "min", "max", "mean", "p50", "p90", "p99")
-HISTOGRAM_FIELDS_V2 = HISTOGRAM_FIELDS + ("p95",)
-SPAN_NUMERIC_FIELDS = ("parent", "depth", "start_us", "duration_us")
-SPAN_NUMERIC_FIELDS_V2 = SPAN_NUMERIC_FIELDS + ("tid", "scope")
+HISTOGRAM_FIELDS = ("count", "sum", "min", "max", "mean", "p50", "p90",
+                    "p95", "p99")
+SPAN_NUMERIC_FIELDS = ("parent", "depth", "start_us", "duration_us", "tid",
+                       "scope")
 
 
 class SchemaError(Exception):
@@ -85,7 +83,7 @@ def _check_prefix(name, kind, where):
                                            for p in KNOWN_PREFIXES)))
 
 
-def _validate_instruments(container, version, where):
+def _validate_instruments(container, where):
     """Validates the counters/gauges/histograms trio inside `container`."""
     counters = container.get("counters")
     _expect(isinstance(counters, dict), "%smissing counters object" % where)
@@ -100,8 +98,6 @@ def _validate_instruments(container, version, where):
         _check_prefix(name, "gauge", where)
         _expect(_is_number(value), "%sgauge %r not numeric" % (where, name))
 
-    histogram_fields = (HISTOGRAM_FIELDS_V2 if version >= 2
-                        else HISTOGRAM_FIELDS)
     histograms = container.get("histograms")
     _expect(isinstance(histograms, dict),
             "%smissing histograms object" % where)
@@ -109,7 +105,7 @@ def _validate_instruments(container, version, where):
         _check_prefix(name, "histogram", where)
         _expect(isinstance(snapshot, dict),
                 "%shistogram %r not an object" % (where, name))
-        for field in histogram_fields:
+        for field in HISTOGRAM_FIELDS:
             _expect(_is_number(snapshot.get(field)) and snapshot[field] >= 0,
                     "%shistogram %r field %r invalid" % (where, name, field))
         _expect(snapshot["count"] > 0 or snapshot["sum"] == 0,
@@ -123,22 +119,19 @@ def validate_report(report):
     _expect(isinstance(report, dict), "document not an object")
     version = report.get("schema_version")
     _expect(_is_number(version), "missing numeric schema_version")
-    version = int(version)
-    _expect(MIN_SCHEMA_VERSION <= version <= MAX_SCHEMA_VERSION,
+    _expect(int(version) == SCHEMA_VERSION,
             "unsupported schema_version %r" % (version,))
 
-    _validate_instruments(report, version, "")
+    _validate_instruments(report, "")
 
     spans = report.get("spans")
     _expect(isinstance(spans, list), "missing spans array")
-    span_fields = (SPAN_NUMERIC_FIELDS_V2 if version >= 2
-                   else SPAN_NUMERIC_FIELDS)
     span_ids = set()
     for span in spans:
         _expect(isinstance(span, dict), "span not an object")
         _expect(_is_number(span.get("id")), "span missing numeric id")
         _expect(isinstance(span.get("name"), str), "span missing name")
-        for field in span_fields:
+        for field in SPAN_NUMERIC_FIELDS:
             _expect(_is_number(span.get(field)),
                     "span missing field %r" % field)
         span_ids.add(int(span["id"]))
@@ -153,21 +146,19 @@ def validate_report(report):
             _expect(parent == -1 or parent in span_ids,
                     "span parent %d not present in the report" % parent)
 
-    if version >= 2:
-        queries = report.get("queries")
-        _expect(isinstance(queries, dict), "missing queries object")
-        for name, query in queries.items():
-            _expect(isinstance(query, dict),
-                    "query %r not an object" % name)
-            where = "query %r: " % name
-            _expect(_is_number(query.get("id")) and query["id"] > 0,
-                    where + "missing positive numeric id")
-            _validate_instruments(query, version, where)
-            for field in ("spans", "spans_dropped"):
-                _expect(_is_number(query.get(field)) and query[field] >= 0,
-                        where + "field %r not a non-negative number" % field)
-            _expect(isinstance(query.get("trip"), str),
-                    where + "missing trip string")
+    queries = report.get("queries")
+    _expect(isinstance(queries, dict), "missing queries object")
+    for name, query in queries.items():
+        _expect(isinstance(query, dict), "query %r not an object" % name)
+        where = "query %r: " % name
+        _expect(_is_number(query.get("id")) and query["id"] > 0,
+                where + "missing positive numeric id")
+        _validate_instruments(query, where)
+        for field in ("spans", "spans_dropped"):
+            _expect(_is_number(query.get(field)) and query[field] >= 0,
+                    where + "field %r not a non-negative number" % field)
+        _expect(isinstance(query.get("trip"), str),
+                where + "missing trip string")
 
 
 def extract_reports(text, origin):
@@ -212,7 +203,7 @@ def main(argv):
                              "(repeatable)")
     parser.add_argument("--require-trip", action="append", default=[],
                         metavar="REASON",
-                        help="fail unless some query in some v2 report "
+                        help="fail unless some query in some report "
                              "tripped with REASON (repeatable)")
     args = parser.parse_args(argv)
 
@@ -235,13 +226,13 @@ def main(argv):
                 for name, value in report["counters"].items():
                     seen_counters[name] = max(seen_counters.get(name, 0),
                                               value)
-                for query in report.get("queries", {}).values():
+                for query in report["queries"].values():
                     if query["trip"]:
                         seen_trips.add(query["trip"])
                 print("ok   %s (%d counters, %d spans, %d queries)"
                       % (label, len(report["counters"]),
                          len(report["spans"]),
-                         len(report.get("queries", {}))))
+                         len(report["queries"])))
         except SchemaError as error:
             print("FAIL %s" % error, file=sys.stderr)
             failures += 1

@@ -33,10 +33,6 @@
 //                        fails with "Deadline exceeded" (0 = unlimited)
 //   --node-budget N      explored-node budget per solver call, same
 //                        degradation contract (0 = unlimited)
-//   --no-compiled-eval   evaluate conjunctive queries with the legacy
-//                        nested-loop interpreter instead of compiled
-//                        slot-based join plans (differential testing;
-//                        results are identical, only speed differs)
 //   --apply-delta PATH   streaming mode for check/answer: run once on the
 //                        initial collection, then apply each batch of the
 //                        delta script at PATH (lines "+ Src(t)" /
@@ -72,7 +68,6 @@
 #include "psc/obs/scope.h"
 #include "psc/obs/trace.h"
 #include "psc/parser/parser.h"
-#include "psc/relational/query_plan.h"
 #include "psc/rewriting/bucket_rewriter.h"
 #include "psc/tableau/template_builder.h"
 #include "psc/util/bigint.h"
@@ -119,7 +114,7 @@ int Usage() {
                "[--method exact|compositional|mc] [--samples N] [--seed N] "
                "[--metrics-out PATH] [--trace] [--trace-out PATH] "
                "[--trace-buffer N] [--quiet] [--threads N] "
-               "[--deadline-ms N] [--node-budget N] [--no-compiled-eval] "
+               "[--deadline-ms N] [--node-budget N] "
                "[--apply-delta PATH]\n");
   return 2;
 }
@@ -159,8 +154,6 @@ struct CliOptions {
   int64_t deadline_ms = 0;
   /// Explored-node budget per solver call; 0 = unlimited.
   uint64_t node_budget = 0;
-  /// false = legacy interpreter for conjunctive-query evaluation.
-  bool use_compiled_eval = true;
   /// Delta script path enabling the streaming mode (empty = off).
   std::string apply_delta;
 };
@@ -270,8 +263,6 @@ Result<CliOptions> ParseArgs(int argc, char** argv) {
       if (options.apply_delta.empty()) {
         return Status::InvalidArgument("empty path for --apply-delta");
       }
-    } else if (arg == "--no-compiled-eval") {
-      options.use_compiled_eval = false;
     } else if (arg == "--trace") {
       options.trace = true;
     } else if (arg == "--quiet") {
@@ -307,7 +298,6 @@ void CrossCheckWitness(const SourceCollection& collection,
 QuerySystem::Options SystemOptions(const CliOptions& options) {
   QuerySystem::Options system_options;
   system_options.threads = options.threads;
-  system_options.use_compiled_eval = options.use_compiled_eval;
   system_options.deadline_ms = options.deadline_ms;
   system_options.node_budget = options.node_budget;
   system_options.cancel = InterruptToken();
@@ -598,8 +588,7 @@ void PrintStatsLine(uint64_t start_us) {
       static_cast<unsigned long long>(
           metrics.CounterValue("algebra.tuples_produced")),
       static_cast<unsigned long long>(
-          metrics.CounterValue("eval.execs.compiled") +
-          metrics.CounterValue("eval.execs.legacy")),
+          metrics.CounterValue("eval.execs.compiled")),
       static_cast<unsigned long long>(metrics.CounterValue("eval.probes")),
       elapsed_ms);
 }
@@ -619,9 +608,6 @@ int Main(int argc, char** argv) {
   if (options->trace_buffer > 0) {
     obs::GlobalTrace().SetCapacity(options->trace_buffer);
   }
-  // Applies to every command, including the ones (certain, audit,
-  // consensus) that never construct a QuerySystem.
-  eval::SetCompiledEvalEnabled(options->use_compiled_eval);
   auto text = ReadFile(options->file);
   if (!text.ok()) return Fail(text.status());
   auto collection = ParseCollection(*text);

@@ -25,7 +25,6 @@
 //   --plan-cache-capacity N    cap the compiled-plan cache (0 = unbounded)
 //   --memo-capacity N          cap the containment memo (0 = unbounded)
 //   --per-request-scopes       one obs::Scope per request in the report
-//   --no-compiled-eval         legacy interpreter (differential testing)
 //   --metrics-out PATH         write the run report as JSON on shutdown
 //   --trace-out PATH           write Chrome trace-event JSON on shutdown
 //
@@ -79,8 +78,7 @@ int Usage() {
                "[--max-queue N] [--max-batch N] [--deadline-ceiling-ms N] "
                "[--node-budget-ceiling N] [--plan-cache-capacity N] "
                "[--memo-capacity N] [--per-request-scopes] "
-               "[--no-compiled-eval] [--metrics-out PATH] "
-               "[--trace-out PATH]\n");
+               "[--metrics-out PATH] [--trace-out PATH]\n");
   return 2;
 }
 
@@ -148,8 +146,6 @@ Result<DaemonOptions> ParseArgs(int argc, char** argv) {
       options.engine.containment_cache_capacity = static_cast<size_t>(n);
     } else if (arg == "--per-request-scopes") {
       options.engine.per_request_scopes = true;
-    } else if (arg == "--no-compiled-eval") {
-      options.engine.use_compiled_eval = false;
     } else if (arg == "--metrics-out") {
       PSC_ASSIGN_OR_RETURN(options.metrics_out, next());
     } else if (arg == "--trace-out") {
