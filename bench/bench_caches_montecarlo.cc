@@ -89,7 +89,7 @@ void PrintScaleTable() {
         IdentityInstance::CreateOverExtensions(workload->collection);
     if (!instance.ok()) continue;
     bench_util::Stopwatch stopwatch;
-    auto sampler = WorldSampler::Create(&*instance, uint64_t{1} << 24);
+    auto sampler = WorldSampler::Create(&*instance);
     const double build_ms = stopwatch.ElapsedMillis();
     if (!sampler.ok()) {
       std::printf("%9lld | %s\n", static_cast<long long>(objects),
@@ -123,7 +123,7 @@ void BM_SampleWorld(benchmark::State& state) {
   auto workload = MakeCacheWorkload(config);
   auto instance =
       IdentityInstance::CreateOverExtensions(workload->collection);
-  auto sampler = WorldSampler::Create(&*instance, uint64_t{1} << 24);
+  auto sampler = WorldSampler::Create(&*instance);
   if (!sampler.ok()) {
     state.SkipWithError("sampler construction failed");
     return;

@@ -49,7 +49,8 @@ void PrintTable() {
       auto collection = MakeRandomIdentityCollection(config, &rng);
       if (!collection.ok()) continue;
       bench_util::Stopwatch stopwatch;
-      auto report = CheckIdentityConsistency(*collection, uint64_t{1} << 28);
+      auto report = CheckIdentityConsistency(
+          *collection, limits::Budget::WithNodeBudget(uint64_t{1} << 28));
       counter_ms += stopwatch.ElapsedMillis();
       if (!report.ok()) {
         std::printf("  (budget exhausted at universe=%lld)\n",
@@ -96,7 +97,8 @@ void BM_IdentityConsistency(benchmark::State& state) {
   config.max_extension = state.range(0);
   auto collection = MakeRandomIdentityCollection(config, &rng);
   for (auto _ : state) {
-    auto report = CheckIdentityConsistency(*collection, uint64_t{1} << 28);
+    auto report = CheckIdentityConsistency(
+        *collection, limits::Budget::WithNodeBudget(uint64_t{1} << 28));
     benchmark::DoNotOptimize(report);
   }
 }

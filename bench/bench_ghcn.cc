@@ -76,7 +76,7 @@ void PrintTable() {
     }
 
     GeneralConsistencyChecker::Options options;
-    options.max_combinations = 4096;
+    options.budget = limits::Budget::WithNodeBudget(4096);
     options.enable_exhaustive = false;
     const GeneralConsistencyChecker checker(options);
     stopwatch.Reset();

@@ -35,10 +35,10 @@ void PrintTable() {
           universe, subsets, /*max_subset_size=*/3,
           /*budget=*/universe / 3, &rng);
       bench_util::Stopwatch stopwatch;
-      auto direct = SolveHittingSet(instance, uint64_t{1} << 30);
+      auto direct = SolveHittingSet(instance);
       direct_ms += stopwatch.ElapsedMillis();
       stopwatch.Reset();
-      auto via = SolveHittingSetViaConsistency(instance, uint64_t{1} << 30);
+      auto via = SolveHittingSetViaConsistency(instance);
       reduced_ms += stopwatch.ElapsedMillis();
       if (!direct.ok() || !via.ok()) continue;
       solvable += direct->solvable ? 1 : 0;
@@ -69,7 +69,7 @@ void BM_DirectHittingSet(benchmark::State& state) {
   const HittingSetInstance instance = MakeRandomHittingSet(
       state.range(0), state.range(0), 3, state.range(0) / 3, &rng);
   for (auto _ : state) {
-    auto result = SolveHittingSet(instance, uint64_t{1} << 30);
+    auto result = SolveHittingSet(instance);
     benchmark::DoNotOptimize(result);
   }
 }
@@ -80,7 +80,7 @@ void BM_HittingSetViaConsistency(benchmark::State& state) {
   const HittingSetInstance instance = MakeRandomHittingSet(
       state.range(0), state.range(0), 3, state.range(0) / 3, &rng);
   for (auto _ : state) {
-    auto result = SolveHittingSetViaConsistency(instance, uint64_t{1} << 30);
+    auto result = SolveHittingSetViaConsistency(instance);
     benchmark::DoNotOptimize(result);
   }
 }

@@ -61,7 +61,7 @@ SourceCollection CountingCollection() {
 }
 
 void SweepConsistency() {
-  std::printf("--- canonical-freeze search (capped at 4096 combinations) "
+  std::printf("--- canonical-freeze search (node budget 4096 combinations) "
               "---\n");
   std::printf("%8s | %10s | %8s | %8s\n", "threads", "time ms", "speedup",
               "verdict");
@@ -70,7 +70,7 @@ void SweepConsistency() {
   std::string base_verdict;
   for (const size_t threads : kThreadCounts) {
     GeneralConsistencyChecker::Options options;
-    options.max_combinations = 4096;
+    options.budget = limits::Budget::WithNodeBudget(4096);
     options.enable_exhaustive = false;
     options.threads = threads;
     const GeneralConsistencyChecker checker(options);
@@ -107,7 +107,7 @@ void SweepCounting() {
       outcome = counter.Count();
     } else {
       exec::ThreadPool pool(threads);
-      outcome = counter.Count(uint64_t{1} << 26, &pool);
+      outcome = counter.Count(&pool);
     }
     const double ms = stopwatch.ElapsedMillis();
     if (!outcome.ok()) continue;
@@ -162,8 +162,7 @@ void BM_ParallelSignatureCount(benchmark::State& state) {
   for (auto _ : state) {
     BinomialTable binomials;
     SignatureCounter counter(&*instance, &binomials);
-    auto outcome =
-        counter.Count(uint64_t{1} << 26, threads > 1 ? &pool : nullptr);
+    auto outcome = counter.Count(threads > 1 ? &pool : nullptr);
     benchmark::DoNotOptimize(outcome);
   }
 }
@@ -172,11 +171,12 @@ BENCHMARK(BM_ParallelSignatureCount)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 void BM_ParallelFreezeSearch(benchmark::State& state) {
   const SourceCollection collection = FreezeScanCollection();
   GeneralConsistencyChecker::Options options;
-  options.max_combinations = 512;
   options.enable_exhaustive = false;
   options.threads = static_cast<size_t>(state.range(0));
-  const GeneralConsistencyChecker checker(options);
   for (auto _ : state) {
+    // Budgets are spent by the check, so every iteration gets a fresh one.
+    options.budget = limits::Budget::WithNodeBudget(512);
+    const GeneralConsistencyChecker checker(options);
     auto report = checker.Check(collection);
     benchmark::DoNotOptimize(report);
   }

@@ -61,7 +61,8 @@ Result<std::optional<Database>> TryCanonicalFreeze(
   PSC_ASSIGN_OR_RETURN(
       const bool completed,
       builder.ForEachAllowableCombination([&](const Combination& combination) {
-        if (report->combinations_tried >= options.max_combinations) {
+        if (report->combinations_tried >=
+            GeneralConsistencyChecker::kMaxFreezeCombinations) {
           *hit_limits = true;
           return false;
         }
@@ -241,7 +242,7 @@ Result<std::optional<Database>> TryCanonicalFreezeParallel(
         if (next_index >= state.bound.load(std::memory_order_acquire)) {
           return false;  // a lower index already decided the search
         }
-        if (next_index >= options.max_combinations) {
+        if (next_index >= GeneralConsistencyChecker::kMaxFreezeCombinations) {
           state.hit_limits.store(true, std::memory_order_relaxed);
           return false;
         }
@@ -289,8 +290,7 @@ Result<ConsistencyReport> GeneralConsistencyChecker::Check(
 
   // Strategy 1: exact identity-view decision procedure.
   if (collection.AllIdentityViews()) {
-    auto identity = CheckIdentityConsistency(collection, options_.max_shapes,
-                                             options_.budget);
+    auto identity = CheckIdentityConsistency(collection, options_.budget);
     if (identity.ok()) {
       report.method = "identity-counter";
       report.verdict = identity->consistent ? ConsistencyVerdict::kConsistent
@@ -350,7 +350,7 @@ Result<ConsistencyReport> GeneralConsistencyChecker::Check(
   if (options_.enable_exhaustive) {
     std::vector<Value> domain = collection.MentionedConstants();
     // The Theorem 3.2 NP procedure fixes m·p·k constants; we add fresh ones
-    // up to the configured cap and remember whether we reached the bound.
+    // up to kMaxFreshConstants and remember whether we reached the bound.
     size_t max_body = 0;
     size_t max_arity = 1;
     for (const SourceDescriptor& source : collection.sources()) {
@@ -365,17 +365,14 @@ Result<ConsistencyReport> GeneralConsistencyChecker::Check(
     const size_t fresh_needed =
         constants_needed > domain.size() ? constants_needed - domain.size()
                                          : 0;
-    const size_t fresh_added =
-        std::min(fresh_needed, options_.max_fresh_constants);
+    const size_t fresh_added = std::min(fresh_needed, kMaxFreshConstants);
     for (size_t i = 0; i < fresh_added; ++i) {
       domain.push_back(Value(StrCat("\xE2\x8A\xA5", i)));  // "⊥i"
     }
     const bool domain_complete = fresh_added == fresh_needed;
 
-    BruteForceWorldEnumerator::Options brute_options;
-    brute_options.max_universe_bits = options_.max_exhaustive_bits;
-    brute_options.budget = options_.budget;
-    BruteForceWorldEnumerator enumerator(&collection, domain, brute_options);
+    BruteForceWorldEnumerator enumerator(&collection, domain,
+                                         options_.budget);
     std::optional<Database> found;
     auto completed = enumerator.ForEachPossibleWorld([&](const Database& db) {
       ++report.candidates_checked;

@@ -68,19 +68,25 @@ Result<bool> WitnessSatisfiesSources(const SourceCollection& collection,
 ///     Accepting is sound (a concrete witness is exhibited); rejection of
 ///     every candidate is *not* a proof of inconsistency, because a
 ///     satisfying world may require merging existential variables.
+///     Hands over to the exhaustive search after
+///     `kMaxFreezeCombinations` combinations.
 ///  3. **exhaustive** — enumerate all databases over the canonical domain
-///     (mentioned constants plus fresh ones) within the Lemma 3.1 size
-///     bound. Complete but exponential; only attempted while the fact
-///     universe stays within `max_exhaustive_bits`.
+///     (mentioned constants plus at most `kMaxFreshConstants` fresh ones)
+///     within the Lemma 3.1 size bound. Complete but exponential; only
+///     attempted while the fact universe stays within
+///     `BruteForceWorldEnumerator::kMaxUniverseFacts`.
 class GeneralConsistencyChecker {
  public:
+  /// Combinations the canonical-freeze pass tries before it hands over to
+  /// the exhaustive search: the strategy switch between the two.
+  static constexpr uint64_t kMaxFreezeCombinations = uint64_t{1} << 20;
+  /// Fresh constants the exhaustive search adds to the canonical domain.
+  /// Each one widens every relation's fact universe, so more would only
+  /// push the universe past the brute-force bound; a domain cut short
+  /// this way yields kUnknown, never kInconsistent.
+  static constexpr size_t kMaxFreshConstants = 4;
+
   struct Options {
-    uint64_t max_shapes = uint64_t{1} << 26;
-    uint64_t max_combinations = uint64_t{1} << 20;
-    /// Universe-size cap for the exhaustive fallback (2^N subsets).
-    size_t max_exhaustive_bits = 22;
-    /// Extra fresh constants added to the canonical domain, capped.
-    size_t max_fresh_constants = 4;
     bool enable_exhaustive = true;
     /// Worker threads for the canonical-freeze search. 0 (the default)
     /// resolves via PSC_THREADS / hardware_concurrency(); 1 forces the

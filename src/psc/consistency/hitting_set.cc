@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 
 #include "psc/consistency/identity_consistency.h"
 #include "psc/obs/metrics.h"
@@ -56,8 +57,8 @@ namespace {
 
 class BranchAndBound {
  public:
-  BranchAndBound(const HittingSetInstance& instance, uint64_t max_nodes)
-      : instance_(instance), max_nodes_(max_nodes) {}
+  BranchAndBound(const HittingSetInstance& instance, limits::Budget budget)
+      : instance_(instance), budget_(std::move(budget)) {}
 
   Result<HittingSetSolution> Run() {
     HittingSetSolution solution;
@@ -71,10 +72,8 @@ class BranchAndBound {
 
  private:
   Result<bool> Recurse() {
-    if (++nodes_ > max_nodes_) {
-      return Status::ResourceExhausted(
-          StrCat("branch-and-bound exceeded ", max_nodes_, " nodes"));
-    }
+    ++nodes_;
+    if (!budget_.Charge()) return budget_.ToStatus();
     // Pick the smallest subset not yet hit (fail-first branching).
     const std::vector<int64_t>* target = nullptr;
     for (const std::vector<int64_t>& subset : instance_.subsets) {
@@ -104,7 +103,7 @@ class BranchAndBound {
   }
 
   const HittingSetInstance& instance_;
-  const uint64_t max_nodes_;
+  const limits::Budget budget_;
   std::set<int64_t> chosen_;
   uint64_t nodes_ = 0;
 };
@@ -112,10 +111,10 @@ class BranchAndBound {
 }  // namespace
 
 Result<HittingSetSolution> SolveHittingSet(const HittingSetInstance& instance,
-                                           uint64_t max_nodes) {
+                                           const limits::Budget& budget) {
   PSC_OBS_SPAN("hitting_set.solve");
   PSC_RETURN_NOT_OK(instance.Validate());
-  BranchAndBound solver(instance, max_nodes);
+  BranchAndBound solver(instance, budget);
   PSC_ASSIGN_OR_RETURN(HittingSetSolution solution, solver.Run());
   PSC_OBS_COUNTER_ADD("hitting_set.nodes_expanded", solution.nodes_expanded);
   return solution;
@@ -166,13 +165,13 @@ Result<SourceCollection> ReduceHsStarToConsistency(
 }
 
 Result<HittingSetSolution> SolveHittingSetViaConsistency(
-    const HittingSetInstance& instance, uint64_t max_shapes) {
+    const HittingSetInstance& instance) {
   PSC_RETURN_NOT_OK(instance.Validate());
   const HittingSetInstance star = ReduceHsToHsStar(instance);
   PSC_ASSIGN_OR_RETURN(const SourceCollection collection,
                        ReduceHsStarToConsistency(star));
   PSC_ASSIGN_OR_RETURN(const IdentityConsistencyReport report,
-                       CheckIdentityConsistency(collection, max_shapes));
+                       CheckIdentityConsistency(collection));
   HittingSetSolution solution;
   solution.nodes_expanded = report.visited_shapes;
   solution.solvable = report.consistent;

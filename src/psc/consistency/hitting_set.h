@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "psc/limits/budget.h"
 #include "psc/source/source_collection.h"
 #include "psc/util/result.h"
 
@@ -44,10 +45,11 @@ struct HittingSetSolution {
 /// comparator for the reduction experiments).
 ///
 /// Branches on the elements of a smallest not-yet-hit subset; prunes when
-/// the budget is exhausted. Exact.
-Result<HittingSetSolution> SolveHittingSet(const HittingSetInstance& instance,
-                                           uint64_t max_nodes = uint64_t{1}
-                                                                << 26);
+/// the instance's budget K is spent. Exact. Charges `budget` one node per
+/// search-tree node and fails with `budget.ToStatus()` when it trips.
+Result<HittingSetSolution> SolveHittingSet(
+    const HittingSetInstance& instance,
+    const limits::Budget& budget = limits::Budget());
 
 /// \brief Lemma 3.3 reduction HS → HS*: adds a fresh element a, the
 /// singleton subset {a}, and raises the budget to K+1.
@@ -66,8 +68,7 @@ Result<SourceCollection> ReduceHsStarToConsistency(
 /// exact identity-view consistency checker and mapping the witness world
 /// back to a hitting set.
 Result<HittingSetSolution> SolveHittingSetViaConsistency(
-    const HittingSetInstance& instance,
-    uint64_t max_shapes = uint64_t{1} << 26);
+    const HittingSetInstance& instance);
 
 }  // namespace psc
 

@@ -9,8 +9,7 @@
 namespace psc {
 
 Result<IdentityConsistencyReport> CheckIdentityConsistency(
-    const SourceCollection& collection, uint64_t max_shapes,
-    const limits::Budget& budget) {
+    const SourceCollection& collection, const limits::Budget& budget) {
   PSC_OBS_SPAN("consistency.identity_check");
   PSC_ASSIGN_OR_RETURN(const IdentityInstance instance,
                        IdentityInstance::CreateOverExtensions(collection));
@@ -19,7 +18,7 @@ Result<IdentityConsistencyReport> CheckIdentityConsistency(
   IdentityConsistencyReport report;
   PSC_ASSIGN_OR_RETURN(
       const std::optional<WorldShape> shape,
-      counter.FirstFeasibleShape(max_shapes, &report.visited_shapes, budget));
+      counter.FirstFeasibleShape(&report.visited_shapes, budget));
   PSC_OBS_COUNTER_ADD("consistency.nodes_expanded", report.visited_shapes);
   if (!shape.has_value()) {
     report.consistent = false;

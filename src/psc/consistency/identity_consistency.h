@@ -34,7 +34,6 @@ struct IdentityConsistencyReport {
 /// A tripped cooperative `budget` fails with `budget.ToStatus()`.
 Result<IdentityConsistencyReport> CheckIdentityConsistency(
     const SourceCollection& collection,
-    uint64_t max_shapes = uint64_t{1} << 26,
     const limits::Budget& budget = limits::Budget());
 
 }  // namespace psc

@@ -16,22 +16,20 @@ namespace psc {
 ///
 /// Exponential by design (Theorem 3.2 says we cannot do better in the worst
 /// case); this is the oracle every optimized component is validated
-/// against. N is capped at `max_universe_bits`.
+/// against. N is at most `kMaxUniverseFacts`.
 class BruteForceWorldEnumerator {
  public:
-  struct Options {
-    /// Refuse universes with more than this many facts (2^N subsets).
-    size_t max_universe_bits = 26;
-    /// Cooperative deadline / node budget; one node is charged per subset
-    /// mask checked. A tripped budget fails the enumeration with
-    /// `budget.ToStatus()`.
-    limits::Budget budget;
-  };
+  /// Most facts in a universe: worlds are N-bit subset masks, and a scan
+  /// of 2^N of them (or a collection of up to 2^N worlds) is the most the
+  /// exhaustive strategy may cost before the consistency checker answers
+  /// kUnknown instead.
+  static constexpr size_t kMaxUniverseFacts = 22;
 
+  /// `budget` is charged one node per subset mask checked; a tripped
+  /// budget fails the enumeration with `budget.ToStatus()`.
   BruteForceWorldEnumerator(const SourceCollection* collection,
-                            std::vector<Value> domain);
-  BruteForceWorldEnumerator(const SourceCollection* collection,
-                            std::vector<Value> domain, Options options);
+                            std::vector<Value> domain,
+                            limits::Budget budget = limits::Budget());
 
   /// \brief Calls `fn` for every database D ⊆ universe with D ∈ poss(S),
   /// in deterministic order. `fn` returns false to stop early.
@@ -44,9 +42,8 @@ class BruteForceWorldEnumerator {
   Result<bool> ForEachPossibleWorldIds(
       const std::function<bool(const std::vector<size_t>&)>& fn) const;
 
-  /// Materializes every possible world (fails beyond `max_worlds`).
-  Result<std::vector<Database>> CollectPossibleWorlds(
-      size_t max_worlds = 1u << 22) const;
+  /// Materializes every possible world.
+  Result<std::vector<Database>> CollectPossibleWorlds() const;
 
   /// |poss(S)| over this universe.
   Result<uint64_t> CountPossibleWorlds() const;
@@ -63,7 +60,7 @@ class BruteForceWorldEnumerator {
 
   const SourceCollection* collection_;
   std::vector<Value> domain_;
-  Options options_;
+  limits::Budget budget_;
 };
 
 }  // namespace psc

@@ -23,7 +23,7 @@ bool TupleHasNull(const Tuple& tuple) {
 
 Result<CertainAnswerBound> CertainAnswerLowerBound(
     const SourceCollection& collection, const AlgebraExprPtr& query,
-    uint64_t max_combinations, const limits::Budget& budget) {
+    const limits::Budget& budget) {
   if (query == nullptr) return Status::InvalidArgument("null query plan");
   TemplateBuilder builder(&collection);
 
@@ -34,10 +34,6 @@ Result<CertainAnswerBound> CertainAnswerLowerBound(
   PSC_ASSIGN_OR_RETURN(
       const bool completed,
       builder.ForEachAllowableCombination([&](const Combination& combination) {
-        if (bound.combinations >= max_combinations) {
-          bound.truncated = true;
-          return false;
-        }
         // A tripped budget truncates rather than fails: the intersection
         // over a prefix of 𝒰 is still a sound under-approximation.
         if (!budget.Charge()) {

@@ -52,7 +52,6 @@ struct CertainAnswerBound {
 /// is already a sound under-approximation.
 Result<CertainAnswerBound> CertainAnswerLowerBound(
     const SourceCollection& collection, const AlgebraExprPtr& query,
-    uint64_t max_combinations = uint64_t{1} << 16,
     const limits::Budget& budget = limits::Budget());
 
 }  // namespace psc

@@ -150,7 +150,7 @@ class GroupAnswerer {
   /// The open group: its worlds' fact indices back to back (world w
   /// starts at starts_[w]), the union of those facts in first-seen order,
   /// and the size of its largest world. Fact indices fit 32 bits: fact
-  /// universes are capped far below that (IdentityInstance at 2^22).
+  /// universes stay far below that (IdentityInstance::kMaxUniverseFacts).
   std::vector<uint32_t> ids_;
   std::vector<size_t> starts_;
   std::vector<uint32_t> union_;
@@ -213,8 +213,6 @@ Result<ConsistencyReport> QuerySystem::CheckConsistency() const {
   const obs::ScopeGuard scope_guard(options_.scope);
   PSC_OBS_SPAN("query.check_consistency");
   GeneralConsistencyChecker::Options options;
-  options.max_shapes = options_.max_shapes;
-  options.max_exhaustive_bits = options_.max_universe_bits;
   options.threads = options_.threads;
   options.budget = MakeBudget(options_);
   const GeneralConsistencyChecker checker(options);
@@ -231,11 +229,9 @@ Result<ConfidenceTable> QuerySystem::BaseConfidences(
   const size_t threads = exec::ResolveThreadCount(options_.threads);
   if (threads > 1) {
     exec::ThreadPool pool(threads);
-    return ComputeBaseFactConfidences(instance, options_.max_shapes, &pool,
-                                      budget);
+    return ComputeBaseFactConfidences(instance, &pool, budget);
   }
-  return ComputeBaseFactConfidences(instance, options_.max_shapes, nullptr,
-                                    budget);
+  return ComputeBaseFactConfidences(instance, nullptr, budget);
 }
 
 Result<QueryAnswer> QuerySystem::AnswerExact(
@@ -254,16 +250,11 @@ Result<QueryAnswer> QuerySystem::AnswerExact(
     return AnswerEveryWorld(
         *query, fact_of, instance.universe().size(),
         [&](const auto& consume) {
-          return enumerator.ForEachWorldIds(consume, options_.max_worlds,
-                                            options_.max_shapes, budget);
+          return enumerator.ForEachWorldIds(consume, budget);
         });
   }
 
-  BruteForceWorldEnumerator::Options brute_options;
-  brute_options.max_universe_bits = options_.max_universe_bits;
-  brute_options.budget = budget;
-  const BruteForceWorldEnumerator enumerator(&collection_, domain,
-                                             brute_options);
+  const BruteForceWorldEnumerator enumerator(&collection_, domain, budget);
   PSC_ASSIGN_OR_RETURN(const std::vector<Fact> universe,
                        enumerator.Universe());
   const FactOf fact_of = [&](size_t id) { return universe[id]; };
@@ -291,12 +282,10 @@ Result<QueryAnswer> QuerySystem::AnswerCompositional(
   if (threads > 1) {
     exec::ThreadPool pool(threads);
     PSC_ASSIGN_OR_RETURN(table,
-                         ComputeBaseFactConfidences(
-                             instance, options_.max_shapes, &pool, budget));
+                         ComputeBaseFactConfidences(instance, &pool, budget));
   } else {
-    PSC_ASSIGN_OR_RETURN(
-        table, ComputeBaseFactConfidences(instance, options_.max_shapes,
-                                          nullptr, budget));
+    PSC_ASSIGN_OR_RETURN(table,
+                         ComputeBaseFactConfidences(instance, nullptr, budget));
   }
   ProbRelation base_relation(instance.arity());
   for (const TupleConfidence& entry : table.entries) {
@@ -331,9 +320,8 @@ Result<QueryAnswer> QuerySystem::AnswerMonteCarlo(
                        IdentityInstance::Create(collection_, domain));
   // The budget covers the sampler build too.
   const limits::Budget budget = MakeBudget(options_);
-  PSC_ASSIGN_OR_RETURN(
-      const WorldSampler sampler,
-      WorldSampler::Create(&instance, options_.max_shapes, budget));
+  PSC_ASSIGN_OR_RETURN(const WorldSampler sampler,
+                       WorldSampler::Create(&instance, budget));
   const FactOf fact_of = [&](size_t id) {
     return Fact(instance.relation(), instance.universe()[id]);
   };

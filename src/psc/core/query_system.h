@@ -53,12 +53,10 @@ struct QueryAnswer {
 ///   auto answer = system->AnswerExact(plan, domain);
 class QuerySystem {
  public:
+  /// The per-call budget (`deadline_ms`, `node_budget`, `cancel`) is the
+  /// only limit a caller sets; the fixed structural bounds are listed in
+  /// DESIGN §10.
   struct Options {
-    uint64_t max_shapes = uint64_t{1} << 26;
-    uint64_t max_worlds = uint64_t{1} << 22;
-    /// Universe-size cap (bits) for brute-force fallbacks on non-identity
-    /// collections.
-    size_t max_universe_bits = 22;
     /// Worker threads for consistency search, exact counting and
     /// Monte-Carlo sampling. 0 (the default) resolves via the PSC_THREADS
     /// environment variable, falling back to hardware_concurrency(); 1
@@ -112,12 +110,14 @@ class QuerySystem {
       const std::vector<Value>& domain) const;
 
   /// \brief Exact query answering by possible-world enumeration:
-  /// certain/possible answers and exact confidences. Exponential; bounded
-  /// by Options::max_worlds. Works for identity collections over `domain`
-  /// (group enumeration) and falls back to brute force otherwise. The
-  /// query is evaluated with lineage (AlgebraExpr::EvalLineage) over
-  /// groups of consecutive worlds; each world is then answered from its
-  /// fact ids.
+  /// certain/possible answers and exact confidences. Exponential: refused
+  /// with ResourceExhausted, before the first world, when |poss(S)|
+  /// exceeds `IdentityWorldEnumerator::kMaxWorlds`. Works for identity
+  /// collections over `domain` (group enumeration) and falls back to
+  /// brute force over at most `BruteForceWorldEnumerator::
+  /// kMaxUniverseFacts` facts otherwise. The query is evaluated with
+  /// lineage (AlgebraExpr::EvalLineage) over groups of consecutive
+  /// worlds; each world is then answered from its fact ids.
   Result<QueryAnswer> AnswerExact(const AlgebraExprPtr& query,
                                   const std::vector<Value>& domain) const;
 
@@ -134,10 +134,10 @@ class QuerySystem {
   ///
   /// Sample block b (64 samples) draws from Rng(MixSeed(seed, b)), so the
   /// estimate depends only on (seed, samples), never on the thread count.
-  /// The call's deadline and node budget cover the sampler build (capped
-  /// at Options::max_shapes shapes) as well as the draws: a trip before
-  /// the first sample fails with the budget's status, a later one returns
-  /// the samples drawn so far flagged `truncated`.
+  /// The call's deadline and node budget cover the sampler build (at most
+  /// `SignatureCounter::kMaxStoredShapes` shapes) as well as the draws: a
+  /// trip before the first sample fails with the budget's status, a later
+  /// one returns the samples drawn so far flagged `truncated`.
   Result<QueryAnswer> AnswerMonteCarlo(const AlgebraExprPtr& query,
                                        const std::vector<Value>& domain,
                                        uint64_t samples, uint64_t seed) const;

@@ -31,13 +31,13 @@ std::vector<Tuple> ConfidenceTable::PossibleFacts() const {
 }
 
 Result<ConfidenceTable> ComputeBaseFactConfidences(
-    const IdentityInstance& instance, uint64_t max_shapes,
-    exec::ThreadPool* pool, const limits::Budget& budget) {
+    const IdentityInstance& instance, exec::ThreadPool* pool,
+    const limits::Budget& budget) {
   PSC_OBS_SPAN("counting.base_confidences");
   BinomialTable binomials;
   SignatureCounter counter(&instance, &binomials);
   PSC_ASSIGN_OR_RETURN(const CountingOutcome outcome,
-                       counter.Count(max_shapes, pool, budget));
+                       counter.Count(pool, budget));
   if (outcome.world_count.IsZero()) {
     return Status::Inconsistent(
         "poss(S) is empty: tuple confidence is undefined for inconsistent "

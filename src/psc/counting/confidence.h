@@ -48,8 +48,7 @@ struct ConfidenceTable {
 /// workers; the resulting table is bit-identical for any worker count.
 /// A tripped cooperative `budget` fails with `budget.ToStatus()`.
 Result<ConfidenceTable> ComputeBaseFactConfidences(
-    const IdentityInstance& instance,
-    uint64_t max_shapes = uint64_t{1} << 26, exec::ThreadPool* pool = nullptr,
+    const IdentityInstance& instance, exec::ThreadPool* pool = nullptr,
     const limits::Budget& budget = limits::Budget());
 
 }  // namespace psc

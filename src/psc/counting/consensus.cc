@@ -24,11 +24,11 @@ int64_t InExtension(const IdentityInstance& instance,
 }  // namespace
 
 Result<std::vector<SourceConsensus>> ComputeSourceConsensus(
-    const IdentityInstance& instance, uint64_t max_shapes) {
+    const IdentityInstance& instance) {
   BinomialTable binomials;
   SignatureCounter counter(&instance, &binomials);
   PSC_ASSIGN_OR_RETURN(const std::vector<WorldShape> shapes,
-                       counter.FeasibleShapes(max_shapes));
+                       counter.FeasibleShapes());
 
   BigInt total;
   for (const WorldShape& shape : shapes) total += shape.weight;

@@ -36,10 +36,10 @@ struct SourceConsensus {
 ///   E[s_D(vᵢ)] = Σ_shapes weight·Tᵢ / (|vᵢ|·|poss|)        (exact ratio)
 ///   E[c_D(vᵢ)] = Σ_shapes weight·(Tᵢ/|D|) / |poss|          (per-shape)
 ///
-/// Fails with Inconsistent when poss(S) is empty.
+/// Fails with Inconsistent when poss(S) is empty, and with
+/// ResourceExhausted past `SignatureCounter::kMaxStoredShapes` shapes.
 Result<std::vector<SourceConsensus>> ComputeSourceConsensus(
-    const IdentityInstance& instance,
-    uint64_t max_shapes = uint64_t{1} << 26);
+    const IdentityInstance& instance);
 
 }  // namespace psc
 

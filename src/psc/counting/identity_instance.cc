@@ -97,13 +97,12 @@ Result<IdentityInstance> IdentityInstance::CreateWithUniverse(
 }
 
 Result<IdentityInstance> IdentityInstance::Create(
-    const SourceCollection& collection, const std::vector<Value>& domain,
-    size_t max_universe) {
+    const SourceCollection& collection, const std::vector<Value>& domain) {
   PSC_ASSIGN_OR_RETURN(const std::string relation,
                        CommonIdentityRelation(collection));
   PSC_ASSIGN_OR_RETURN(const std::vector<Fact> facts,
                        EnumerateFactUniverse(collection.schema(), domain,
-                                             max_universe));
+                                             kMaxUniverseFacts));
   std::vector<Tuple> universe;
   universe.reserve(facts.size());
   for (const Fact& fact : facts) {

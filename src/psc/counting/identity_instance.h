@@ -49,14 +49,18 @@ class IdentityInstance {
   /// Empty, invalid instance; use a factory.
   IdentityInstance() = default;
 
+  /// Most facts `Create` puts in a universe: the instance holds every
+  /// universe tuple and its group index in memory, and answering by
+  /// lineage numbers the facts with 32-bit ids.
+  static constexpr size_t kMaxUniverseFacts = size_t{1} << 22;
+
   /// \brief Compiles `collection` over the full universe dom^arity.
   ///
   /// `domain` must contain every constant mentioned in the extensions.
   /// Fails if a view is not an identity, sources > 63, or the universe
-  /// exceeds `max_universe`.
+  /// exceeds `kMaxUniverseFacts`.
   static Result<IdentityInstance> Create(const SourceCollection& collection,
-                                         const std::vector<Value>& domain,
-                                         size_t max_universe = 1u << 22);
+                                         const std::vector<Value>& domain);
 
   /// \brief Compiles over the universe ⋃ᵢ vᵢ only.
   ///

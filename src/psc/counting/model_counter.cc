@@ -1,6 +1,5 @@
 #include "psc/counting/model_counter.h"
 
-#include <atomic>
 #include <functional>
 #include <utility>
 
@@ -47,14 +46,8 @@ class ShapeEnumerator {
  public:
   ShapeEnumerator(const IdentityInstance& instance, BinomialTable& binomials,
                   const std::vector<std::vector<int64_t>>& suffix_max,
-                  uint64_t max_shapes,
-                  std::atomic<uint64_t>* shared_visited = nullptr,
-                  limits::Budget budget = limits::Budget())
-      : instance_(instance),
-        binomials_(binomials),
-        max_shapes_(max_shapes),
-        shared_visited_(shared_visited),
-        budget_(std::move(budget)) {
+                  limits::Budget budget)
+      : instance_(instance), binomials_(binomials), budget_(std::move(budget)) {
     const size_t depths = instance_.groups().size() + 1;
     active_.resize(depths);
     for (size_t g = 0; g < depths; ++g) {
@@ -121,15 +114,6 @@ class ShapeEnumerator {
     }
     if (g == instance_.groups().size()) {
       ++visited_;
-      const uint64_t total =
-          shared_visited_ == nullptr
-              ? visited_
-              : shared_visited_->fetch_add(1, std::memory_order_relaxed) + 1;
-      if (total > max_shapes_) {
-        return Status::ResourceExhausted(
-            StrCat("shape enumeration exceeded ", max_shapes_,
-                   " count vectors"));
-      }
       if (instance_.CheckCounts(counts_)) {
         return (*visit_)(counts_, parent_weight * factor);
       }
@@ -162,10 +146,6 @@ class ShapeEnumerator {
 
   const IdentityInstance& instance_;
   BinomialTable& binomials_;
-  const uint64_t max_shapes_;
-  /// Shape-count cap shared across parallel shards (the sequential path
-  /// uses the local `visited_`).
-  std::atomic<uint64_t>* shared_visited_;
   /// Cooperative deadline / work budget (shared state across copies).
   limits::Budget budget_;
   /// active_[g]: (source, need) pairs that can actually prune at depth g.
@@ -189,8 +169,7 @@ struct CountShard {
 
 }  // namespace
 
-Result<CountingOutcome> SignatureCounter::Count(uint64_t max_shapes,
-                                                exec::ThreadPool* pool,
+Result<CountingOutcome> SignatureCounter::Count(exec::ThreadPool* pool,
                                                 const limits::Budget& budget) {
   PSC_OBS_SPAN("counting.count");
   CountingOutcome outcome;
@@ -201,8 +180,7 @@ Result<CountingOutcome> SignatureCounter::Count(uint64_t max_shapes,
   const bool parallel =
       pool != nullptr && pool->size() > 1 && !groups.empty();
   if (!parallel) {
-    ShapeEnumerator enumerator(*instance_, *binomials_, suffix_max_,
-                               max_shapes, nullptr, budget);
+    ShapeEnumerator enumerator(*instance_, *binomials_, suffix_max_, budget);
     PSC_RETURN_NOT_OK(
         enumerator
             .Run([&](const std::vector<int64_t>& counts,
@@ -227,7 +205,6 @@ Result<CountingOutcome> SignatureCounter::Count(uint64_t max_shapes,
     // the (potentially huge) first-group row from scratch.
     for (const auto& group : groups) binomials_->Warm(group.size);
     const size_t shards = static_cast<size_t>(groups[0].size) + 1;
-    std::atomic<uint64_t> shared_visited{0};
     // A tripped budget cancels shards still queued on the pool; shards
     // skipped this way merge as empty-and-error-free, which is safe
     // because the shard that tripped the budget always carries the error.
@@ -242,7 +219,7 @@ Result<CountingOutcome> SignatureCounter::Count(uint64_t max_shapes,
           CountShard shard;
           shard.marked_sums.resize(groups.size());
           ShapeEnumerator enumerator(*instance_, *binomials_, suffix_max_,
-                                     max_shapes, &shared_visited, budget);
+                                     budget);
           auto run = enumerator.RunWithFirstGroup(
               static_cast<int64_t>(k),
               [&](const std::vector<int64_t>& counts, const BigInt& weight) {
@@ -299,25 +276,28 @@ Result<CountingOutcome> SignatureCounter::Count(uint64_t max_shapes,
 }
 
 Result<std::vector<WorldShape>> SignatureCounter::FeasibleShapes(
-    uint64_t max_shapes, const limits::Budget& budget) {
+    const limits::Budget& budget) {
   std::vector<WorldShape> shapes;
-  ShapeEnumerator enumerator(*instance_, *binomials_, suffix_max_, max_shapes,
-                             nullptr, budget);
-  PSC_RETURN_NOT_OK(
-      enumerator
-          .Run([&](const std::vector<int64_t>& counts, const BigInt& weight) {
+  ShapeEnumerator enumerator(*instance_, *binomials_, suffix_max_, budget);
+  PSC_ASSIGN_OR_RETURN(
+      const bool completed,
+      enumerator.Run(
+          [&](const std::vector<int64_t>& counts, const BigInt& weight) {
+            if (shapes.size() == kMaxStoredShapes) return false;
             shapes.push_back(WorldShape{counts, weight});
             return true;
-          })
-          .status());
+          }));
+  if (!completed) {
+    return Status::ResourceExhausted(
+        StrCat("more than ", kMaxStoredShapes, " feasible shapes"));
+  }
   return shapes;
 }
 
 Result<std::optional<WorldShape>> SignatureCounter::FirstFeasibleShape(
-    uint64_t max_shapes, uint64_t* visited, const limits::Budget& budget) {
+    uint64_t* visited, const limits::Budget& budget) {
   std::optional<WorldShape> first;
-  ShapeEnumerator enumerator(*instance_, *binomials_, suffix_max_, max_shapes,
-                             nullptr, budget);
+  ShapeEnumerator enumerator(*instance_, *binomials_, suffix_max_, budget);
   PSC_RETURN_NOT_OK(
       enumerator
           .Run([&](const std::vector<int64_t>& counts, const BigInt& weight) {

@@ -58,8 +58,7 @@ class SignatureCounter {
 
   /// \brief Counts all worlds and per-group containment counts.
   ///
-  /// Fails with ResourceExhausted after visiting `max_shapes` count
-  /// vectors, and with `budget.ToStatus()` (DeadlineExceeded /
+  /// Fails with `budget.ToStatus()` (DeadlineExceeded /
   /// ResourceExhausted) when the cooperative budget trips — the DFS
   /// charges one budget node per count-vector tree node, on every worker.
   ///
@@ -69,21 +68,25 @@ class SignatureCounter {
   /// in shard order, so the outcome is bit-identical to the sequential
   /// run for any worker count. A tripped budget also cancels shards still
   /// queued on the pool.
-  Result<CountingOutcome> Count(uint64_t max_shapes = uint64_t{1} << 26,
-                                exec::ThreadPool* pool = nullptr,
+  Result<CountingOutcome> Count(exec::ThreadPool* pool = nullptr,
                                 const limits::Budget& budget =
                                     limits::Budget());
 
+  /// Most feasible shapes `FeasibleShapes` holds in memory: each one
+  /// stores a count vector and a BigInt weight.
+  static constexpr uint64_t kMaxStoredShapes = uint64_t{1} << 22;
+
   /// \brief Enumerates the feasible shapes themselves (for world sampling
-  /// and world enumeration). Fails if more than `max_shapes` are feasible.
+  /// and world enumeration). Fails with ResourceExhausted if more than
+  /// `kMaxStoredShapes` are feasible, and with `budget.ToStatus()` when
+  /// the budget trips.
   Result<std::vector<WorldShape>> FeasibleShapes(
-      uint64_t max_shapes = uint64_t{1} << 22,
       const limits::Budget& budget = limits::Budget());
 
   /// \brief Stops at the first feasible shape — a constructive consistency
   /// check. nullopt when poss(S) is empty over the instance's universe.
   Result<std::optional<WorldShape>> FirstFeasibleShape(
-      uint64_t max_shapes = uint64_t{1} << 26, uint64_t* visited = nullptr,
+      uint64_t* visited = nullptr,
       const limits::Budget& budget = limits::Budget());
 
  private:

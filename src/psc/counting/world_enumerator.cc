@@ -9,15 +9,20 @@ namespace psc {
 
 Result<bool> IdentityWorldEnumerator::ForEachWorldIds(
     const std::function<bool(const std::vector<size_t>&)>& fn,
-    uint64_t max_worlds, uint64_t max_shapes,
     const limits::Budget& budget) const {
   BinomialTable binomials;
   SignatureCounter counter(instance_, &binomials);
   PSC_ASSIGN_OR_RETURN(const std::vector<WorldShape> shapes,
-                       counter.FeasibleShapes(max_shapes, budget));
+                       counter.FeasibleShapes(budget));
+  BigInt worlds;
+  for (const WorldShape& shape : shapes) worlds += shape.weight;
+  if (worlds > BigInt(kMaxWorlds)) {
+    return Status::ResourceExhausted(
+        StrCat("exact enumeration visits at most ", kMaxWorlds,
+               " worlds; poss(S) has ", worlds.ToString()));
+  }
 
   const auto& groups = instance_->groups();
-  uint64_t produced = 0;
   std::vector<size_t> members;
 
   for (const WorldShape& shape : shapes) {
@@ -30,10 +35,6 @@ Result<bool> IdentityWorldEnumerator::ForEachWorldIds(
       }
     }
     while (true) {
-      if (++produced > max_worlds) {
-        return Status::ResourceExhausted(
-            StrCat("world enumeration exceeded ", max_worlds, " worlds"));
-      }
       if (!budget.Charge()) return budget.ToStatus();
       PSC_OBS_COUNTER_INC("counting.worlds_enumerated");
       members.clear();
@@ -75,8 +76,8 @@ Result<bool> IdentityWorldEnumerator::ForEachWorldIds(
 }
 
 Result<bool> IdentityWorldEnumerator::ForEachWorld(
-    const std::function<bool(const Database&)>& fn, uint64_t max_worlds,
-    uint64_t max_shapes, const limits::Budget& budget) const {
+    const std::function<bool(const Database&)>& fn,
+    const limits::Budget& budget) const {
   return ForEachWorldIds(
       [&](const std::vector<size_t>& members) {
         Database world;
@@ -85,7 +86,7 @@ Result<bool> IdentityWorldEnumerator::ForEachWorld(
         }
         return fn(world);
       },
-      max_worlds, max_shapes, budget);
+      budget);
 }
 
 }  // namespace psc

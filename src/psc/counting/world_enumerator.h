@@ -15,11 +15,16 @@ namespace psc {
 /// instance, by expanding each feasible world shape into all its
 /// ∏ C(n_g, k_g) subset choices.
 ///
-/// Exponential in general; `max_worlds` bounds the number of worlds
-/// visited. Deterministic order (shapes in DFS order, subsets
-/// lexicographic).
+/// Exponential in general: only instances with at most `kMaxWorlds`
+/// possible worlds are enumerated. Deterministic order (shapes in DFS
+/// order, subsets lexicographic).
 class IdentityWorldEnumerator {
  public:
+  /// Most possible worlds an enumeration will visit. Past it, exact
+  /// answering is the wrong strategy (use compositional or Monte-Carlo
+  /// answering), so the enumerator refuses before the first world.
+  static constexpr uint64_t kMaxWorlds = uint64_t{1} << 22;
+
   /// `instance` must outlive the enumerator.
   explicit IdentityWorldEnumerator(const IdentityInstance* instance)
       : instance_(instance) {}
@@ -27,20 +32,18 @@ class IdentityWorldEnumerator {
   /// \brief Calls `fn` for every world D ∈ poss(S) over the instance's
   /// universe, given as the indices of its facts in the instance's
   /// universe; `fn` returns false to stop early. Result is false iff
-  /// stopped early. Fails with ResourceExhausted past `max_worlds` worlds
-  /// or `max_shapes` shapes, and with `budget.ToStatus()` when the
-  /// cooperative budget trips (one node charged per world produced).
+  /// stopped early. Fails with ResourceExhausted, before any world, when
+  /// |poss(S)| exceeds `kMaxWorlds` or the feasible shapes exceed
+  /// `SignatureCounter::kMaxStoredShapes`, and with `budget.ToStatus()`
+  /// when the cooperative budget trips (one node charged per count-vector
+  /// tree node, then one per world produced).
   Result<bool> ForEachWorldIds(
       const std::function<bool(const std::vector<size_t>&)>& fn,
-      uint64_t max_worlds = uint64_t{1} << 22,
-      uint64_t max_shapes = uint64_t{1} << 22,
       const limits::Budget& budget = limits::Budget()) const;
 
   /// ForEachWorldIds with every world materialized as a database over the
   /// instance's relation.
   Result<bool> ForEachWorld(const std::function<bool(const Database&)>& fn,
-                            uint64_t max_worlds = uint64_t{1} << 22,
-                            uint64_t max_shapes = uint64_t{1} << 22,
                             const limits::Budget& budget =
                                 limits::Budget()) const;
 

@@ -8,13 +8,12 @@
 namespace psc {
 
 Result<WorldSampler> WorldSampler::Create(const IdentityInstance* instance,
-                                          uint64_t max_shapes,
                                           const limits::Budget& budget) {
   PSC_CHECK(instance != nullptr);
   BinomialTable binomials;
   SignatureCounter counter(instance, &binomials);
   PSC_ASSIGN_OR_RETURN(std::vector<WorldShape> shapes,
-                       counter.FeasibleShapes(max_shapes, budget));
+                       counter.FeasibleShapes(budget));
   std::vector<BigInt> cumulative;
   cumulative.reserve(shapes.size());
   BigInt total;

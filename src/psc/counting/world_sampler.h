@@ -24,12 +24,11 @@ namespace psc {
 /// per-query computation is infeasible.
 class WorldSampler {
  public:
-  /// Enumerates feasible shapes (bounded by `max_shapes`, and by `budget`:
-  /// one node per count-vector tree node) and prepares cumulative weights.
-  /// Fails with Inconsistent when poss(S) is empty, and with
-  /// `budget.ToStatus()` when the budget trips.
+  /// Enumerates feasible shapes (see `SignatureCounter::FeasibleShapes`;
+  /// `budget` is charged one node per count-vector tree node) and
+  /// prepares cumulative weights. Fails with Inconsistent when poss(S) is
+  /// empty, and with `budget.ToStatus()` when the budget trips.
   static Result<WorldSampler> Create(const IdentityInstance* instance,
-                                     uint64_t max_shapes = uint64_t{1} << 22,
                                      const limits::Budget& budget =
                                          limits::Budget());
 

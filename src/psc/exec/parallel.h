@@ -63,11 +63,11 @@ T ParallelReduce(ThreadPool* pool, size_t n, T init, const ShardFn& shard,
                  const MergeFn& merge,
                  const limits::CancelToken* cancel = nullptr) {
   if (pool == nullptr || pool->size() <= 1 || n <= 1) {
+    // ParallelFor's inline loop: shards in index order, each merged as it
+    // finishes, and shards skipped after a cancel counted.
     T acc = std::move(init);
-    for (size_t i = 0; i < n; ++i) {
-      if (cancel != nullptr && cancel->cancelled()) break;
-      merge(acc, shard(i));
-    }
+    ParallelFor(
+        nullptr, n, [&](size_t i) { merge(acc, shard(i)); }, cancel);
     return acc;
   }
   std::vector<T> parts(n);

@@ -117,8 +117,15 @@ Budget::Budget(const BudgetOptions& options)
   state_->scope = obs::CurrentScope();
   if (options.cancel.has_value()) state_->token = *options.cancel;
   if (state_->options.deadline_ms > 0) {
-    state_->deadline =
-        Clock::now() + std::chrono::milliseconds(state_->options.deadline_ms);
+    // A deadline past the clock's range is no deadline: adding it to now()
+    // would overflow the clock's tick count and wrap into the past.
+    const Clock::time_point now = Clock::now();
+    const auto headroom = std::chrono::duration_cast<std::chrono::milliseconds>(
+        Clock::time_point::max() - now);
+    if (state_->options.deadline_ms < headroom.count()) {
+      state_->deadline =
+          now + std::chrono::milliseconds(state_->options.deadline_ms);
+    }
   }
 }
 

@@ -73,7 +73,8 @@ const char* StopReasonToString(StopReason reason);
 
 /// \brief Limit configuration; zero always means "unlimited".
 struct BudgetOptions {
-  /// Wall-clock deadline in milliseconds from budget construction.
+  /// Wall-clock deadline in milliseconds from budget construction. A
+  /// deadline past the steady clock's range (about 292 years) is none.
   int64_t deadline_ms = 0;
   /// Maximum units of search work (`Charge` calls, weighted).
   uint64_t node_budget = 0;

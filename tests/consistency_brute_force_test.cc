@@ -38,11 +38,12 @@ TEST(BruteForceTest, EveryEnumeratedWorldSatisfiesBounds) {
 TEST(BruteForceTest, CollectRespectsCap) {
   auto collection =
       MakeUnaryCollection({MakeUnarySource("S", {0}, "0", "0")});
-  BruteForceWorldEnumerator enumerator(&collection, IntDomain(5));
-  EXPECT_EQ(enumerator.CollectPossibleWorlds(/*max_worlds=*/3)
-                .status()
-                .code(),
+  // One budget node per subset mask: 3 of the 32 masks, then the trip.
+  BruteForceWorldEnumerator capped(&collection, IntDomain(5),
+                                   limits::Budget::WithNodeBudget(3));
+  EXPECT_EQ(capped.CollectPossibleWorlds().status().code(),
             StatusCode::kResourceExhausted);
+  BruteForceWorldEnumerator enumerator(&collection, IntDomain(5));
   auto all = enumerator.CollectPossibleWorlds();
   ASSERT_TRUE(all.ok());
   EXPECT_EQ(all->size(), 32u);
@@ -51,10 +52,15 @@ TEST(BruteForceTest, CollectRespectsCap) {
 TEST(BruteForceTest, UniverseCapEnforced) {
   auto collection =
       MakeUnaryCollection({MakeUnarySource("S", {0}, "0", "0")});
-  BruteForceWorldEnumerator::Options options;
-  options.max_universe_bits = 4;
-  BruteForceWorldEnumerator enumerator(&collection, IntDomain(10), options);
-  EXPECT_EQ(enumerator.CountPossibleWorlds().status().code(),
+  const size_t bound = BruteForceWorldEnumerator::kMaxUniverseFacts;
+  BruteForceWorldEnumerator at_bound(&collection,
+                                     IntDomain(static_cast<int64_t>(bound)));
+  auto universe = at_bound.Universe();
+  ASSERT_TRUE(universe.ok()) << universe.status().ToString();
+  EXPECT_EQ(universe->size(), bound);
+  BruteForceWorldEnumerator past_bound(
+      &collection, IntDomain(static_cast<int64_t>(bound) + 1));
+  EXPECT_EQ(past_bound.CountPossibleWorlds().status().code(),
             StatusCode::kResourceExhausted);
 }
 

@@ -88,10 +88,7 @@ TEST(GeneralConsistencyTest, BuiltinViolationDetectedAsInconsistent) {
   ASSERT_TRUE(source.ok());
   auto collection = SourceCollection::Create({*source});
   ASSERT_TRUE(collection.ok());
-  GeneralConsistencyChecker::Options options;
-  options.max_fresh_constants = 2;
-  options.max_exhaustive_bits = 18;
-  GeneralConsistencyChecker checker(options);
+  GeneralConsistencyChecker checker;
   auto report = checker.Check(*collection);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   // The exhaustive pass may or may not be able to close the domain; the

@@ -80,7 +80,9 @@ TEST(BranchAndBoundTest, NodeBudgetEnforced) {
   Rng rng(3);
   const HittingSetInstance instance =
       MakeRandomHittingSet(20, 30, 4, 6, &rng);
-  EXPECT_EQ(SolveHittingSet(instance, /*max_nodes=*/2).status().code(),
+  EXPECT_EQ(SolveHittingSet(instance, limits::Budget::WithNodeBudget(2))
+                .status()
+                .code(),
             StatusCode::kResourceExhausted);
 }
 

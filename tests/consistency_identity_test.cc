@@ -87,7 +87,8 @@ TEST(IdentityConsistencyTest, BudgetExhaustionSurfaces) {
                                       {2 * i, 2 * i + 1}, "1/2", "0"));
   }
   auto collection = MakeUnaryCollection(std::move(sources));
-  auto report = CheckIdentityConsistency(collection, /*max_shapes=*/0);
+  auto report = CheckIdentityConsistency(collection,
+                                         limits::Budget::WithNodeBudget(1));
   EXPECT_EQ(report.status().code(), StatusCode::kResourceExhausted);
 }
 

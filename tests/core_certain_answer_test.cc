@@ -157,7 +157,7 @@ TEST(CertainAnswerTest, CombinationBudgetMarksTruncation) {
   auto collection =
       MakeUnaryCollection({MakeUnarySource("S", {0, 1, 2}, "0", "0")});
   auto bound = CertainAnswerLowerBound(collection, AlgebraExpr::Base("R", 1),
-                                       /*max_combinations=*/2);
+                                       limits::Budget::WithNodeBudget(2));
   ASSERT_TRUE(bound.ok());
   EXPECT_TRUE(bound->truncated || bound->certain.empty());
 }

@@ -1,8 +1,10 @@
-// Resource-budget behaviour of the facade: every cap must surface as a
-// typed error, never as silent truncation or a wrong answer.
+// Resource-budget behaviour of the facade: every budget trip and every
+// structural bound must surface as a typed error, never as silent
+// truncation or a wrong answer.
 
 #include "gtest/gtest.h"
 #include "psc/core/query_system.h"
+#include "psc/obs/metrics.h"
 #include "test_util.h"
 
 namespace psc {
@@ -14,7 +16,7 @@ using testing::MakeUnarySource;
 
 TEST(QuerySystemOptionsTest, WorldCapSurfacesAsResourceExhausted) {
   QuerySystem::Options options;
-  options.max_worlds = 3;  // far fewer than 2^6 unconstrained worlds
+  options.node_budget = 3;  // far fewer than 2^6 unconstrained worlds
   auto system = QuerySystem::Create(
       MakeUnaryCollection({MakeUnarySource("S", {0}, "0", "0")}), options);
   ASSERT_TRUE(system.ok());
@@ -24,9 +26,26 @@ TEST(QuerySystemOptionsTest, WorldCapSurfacesAsResourceExhausted) {
             StatusCode::kResourceExhausted);
 }
 
+TEST(QuerySystemOptionsTest, ExactAnsweringRefusesBeforeTheFirstWorld) {
+  // One unconstrained source over 23 constants: 2^23 possible worlds, past
+  // IdentityWorldEnumerator::kMaxWorlds, so exact answering fails before
+  // it enumerates a single world.
+  auto system = QuerySystem::Create(
+      MakeUnaryCollection({MakeUnarySource("S", {0}, "0", "0")}));
+  ASSERT_TRUE(system.ok());
+  const uint64_t before =
+      obs::GlobalMetrics().CounterValue("counting.worlds_enumerated");
+  EXPECT_EQ(system->AnswerExact(AlgebraExpr::Base("R", 1), IntDomain(23))
+                .status()
+                .code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(obs::GlobalMetrics().CounterValue("counting.worlds_enumerated"),
+            before);
+}
+
 TEST(QuerySystemOptionsTest, ShapeCapSurfacesInBaseConfidences) {
   QuerySystem::Options options;
-  options.max_shapes = 1;
+  options.node_budget = 1;
   auto system = QuerySystem::Create(
       MakeUnaryCollection({MakeUnarySource("S", {0, 1}, "0", "0")}),
       options);
@@ -37,18 +56,17 @@ TEST(QuerySystemOptionsTest, ShapeCapSurfacesInBaseConfidences) {
 
 TEST(QuerySystemOptionsTest, UniverseBitsCapOnBruteForceFallback) {
   // Non-identity collection with a domain whose fact universe exceeds the
-  // configured bit budget.
+  // brute-force bound.
   auto view = testing::Q("V(x) <- E(x, y)");
   auto source = SourceDescriptor::Create("J", view, {testing::U(0)},
                                          Rational::Zero(), Rational::One());
   ASSERT_TRUE(source.ok());
   auto collection = SourceCollection::Create({*source});
   ASSERT_TRUE(collection.ok());
-  QuerySystem::Options options;
-  options.max_universe_bits = 4;  // E over {0..2}² = 9 facts > 4
-  auto system = QuerySystem::Create(*collection, options);
+  // E over {0..4}² = 25 facts > BruteForceWorldEnumerator::kMaxUniverseFacts.
+  auto system = QuerySystem::Create(*collection);
   ASSERT_TRUE(system.ok());
-  EXPECT_EQ(system->AnswerExact(AlgebraExpr::Base("E", 2), IntDomain(3))
+  EXPECT_EQ(system->AnswerExact(AlgebraExpr::Base("E", 2), IntDomain(5))
                 .status()
                 .code(),
             StatusCode::kResourceExhausted);
@@ -76,7 +94,7 @@ TEST(QuerySystemOptionsTest, DomainMustCoverExtensions) {
 
 TEST(QuerySystemOptionsTest, MonteCarloSamplerRespectsShapeBudget) {
   QuerySystem::Options options;
-  options.max_shapes = 1;  // caps the sampler's shape enumeration
+  options.node_budget = 1;  // trips in the sampler's shape enumeration
   auto system = QuerySystem::Create(
       MakeUnaryCollection({MakeUnarySource("S", {0, 1}, "0", "0")}),
       options);

@@ -125,7 +125,7 @@ TEST(SignatureCounterTest, FirstFeasibleShapeStopsEarly) {
   BinomialTable binomials;
   SignatureCounter counter(&*instance, &binomials);
   uint64_t visited = 0;
-  auto first = counter.FirstFeasibleShape(uint64_t{1} << 26, &visited);
+  auto first = counter.FirstFeasibleShape(&visited);
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(first->has_value());
   EXPECT_EQ(visited, 1u);  // the empty world is feasible immediately
@@ -156,8 +156,9 @@ TEST(SignatureCounterTest, ShapeBudgetEnforced) {
   ASSERT_TRUE(instance.ok());
   BinomialTable binomials;
   SignatureCounter counter(&*instance, &binomials);
-  EXPECT_EQ(counter.Count(/*max_shapes=*/3).status().code(),
-            StatusCode::kResourceExhausted);
+  EXPECT_EQ(
+      counter.Count(nullptr, limits::Budget::WithNodeBudget(3)).status().code(),
+      StatusCode::kResourceExhausted);
 }
 
 TEST(ConfidenceTableTest, CertainAndPossibleFacts) {

@@ -82,8 +82,9 @@ TEST(WorldEnumeratorTest, WorldBudgetEnforced) {
   auto instance = IdentityInstance::Create(collection, IntDomain(10));
   ASSERT_TRUE(instance.ok());
   IdentityWorldEnumerator enumerator(&*instance);
-  auto completed = enumerator.ForEachWorld(
-      [](const Database&) { return true; }, /*max_worlds=*/10);
+  auto completed =
+      enumerator.ForEachWorld([](const Database&) { return true; },
+                              limits::Budget::WithNodeBudget(10));
   EXPECT_EQ(completed.status().code(), StatusCode::kResourceExhausted);
 }
 

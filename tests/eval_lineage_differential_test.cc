@@ -32,10 +32,6 @@ namespace {
 
 using psc::testing::IntDomain;
 
-// QuerySystem::Options defaults, which the oracle mirrors.
-constexpr uint64_t kMaxShapes = uint64_t{1} << 26;
-constexpr uint64_t kMaxWorlds = uint64_t{1} << 22;
-constexpr size_t kMaxUniverseBits = 22;
 constexpr uint64_t kBlockSamples = 64;
 constexpr size_t kThreadCounts[] = {1, 2, 4};
 
@@ -78,6 +74,11 @@ class PerWorldAnswer {
   uint64_t worlds_ = 0;
 };
 
+/// A budget with no limit that still counts the nodes charged to it.
+limits::Budget CountingBudget() {
+  return limits::Budget(limits::BudgetOptions());
+}
+
 /// Budget for one call: unlimited, or a node budget.
 limits::Budget CallBudget(uint64_t node_budget) {
   return node_budget == 0 ? limits::Budget()
@@ -100,16 +101,12 @@ Result<QueryAnswer> OracleExact(const SourceCollection& collection,
                          IdentityInstance::Create(collection, domain));
     PSC_ASSIGN_OR_RETURN(
         const bool completed,
-        IdentityWorldEnumerator(&instance).ForEachWorld(consume, kMaxWorlds,
-                                                        kMaxShapes, budget));
+        IdentityWorldEnumerator(&instance).ForEachWorld(consume, budget));
     if (!completed) return world_error;
   } else {
-    BruteForceWorldEnumerator::Options options;
-    options.max_universe_bits = kMaxUniverseBits;
-    options.budget = budget;
     PSC_ASSIGN_OR_RETURN(
         const bool completed,
-        BruteForceWorldEnumerator(&collection, domain, options)
+        BruteForceWorldEnumerator(&collection, domain, budget)
             .ForEachPossibleWorld(consume));
     if (!completed) return world_error;
   }
@@ -128,7 +125,7 @@ Result<QueryAnswer> OracleMonteCarlo(const SourceCollection& collection,
                        IdentityInstance::Create(collection, domain));
   const limits::Budget budget = CallBudget(node_budget);
   PSC_ASSIGN_OR_RETURN(const WorldSampler sampler,
-                       WorldSampler::Create(&instance, kMaxShapes, budget));
+                       WorldSampler::Create(&instance, budget));
   PerWorldAnswer answer(query);
   bool tripped = false;
   for (uint64_t block = 0; block * kBlockSamples < samples && !tripped;
@@ -518,8 +515,8 @@ TEST(LineageDifferentialTest, NodeBudgetTruncationMatchesOracle) {
   PSC_ASSERT_OK_AND_ASSIGN(
       const IdentityInstance instance,
       IdentityInstance::Create(c.collection, domain));
-  const limits::Budget build = limits::Budget::WithNodeBudget(kMaxShapes);
-  ASSERT_TRUE(WorldSampler::Create(&instance, kMaxShapes, build).ok());
+  const limits::Budget build = CountingBudget();
+  ASSERT_TRUE(WorldSampler::Create(&instance, build).ok());
   const uint64_t mc_budget = build.nodes_charged() + 100;
   const auto expected_mc =
       OracleMonteCarlo(c.collection, plan, domain, 1000, 5, mc_budget);
@@ -564,8 +561,8 @@ TEST(LineageDifferentialTest, PlanErrorsBeforeABudgetTripStillWin) {
     PSC_ASSERT_OK_AND_ASSIGN(
         const IdentityInstance instance,
         IdentityInstance::Create(c.collection, domain));
-    const limits::Budget build = limits::Budget::WithNodeBudget(kMaxShapes);
-    ASSERT_TRUE(WorldSampler::Create(&instance, kMaxShapes, build).ok());
+    const limits::Budget build = CountingBudget();
+    ASSERT_TRUE(WorldSampler::Create(&instance, build).ok());
     const AlgebraExprPtr base = Plans(c.arity, c.constants).front().second;
     PSC_ASSERT_OK_AND_ASSIGN(const QueryAnswer full,
                              OracleExact(c.collection, base, domain, 0));

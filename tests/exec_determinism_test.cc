@@ -41,9 +41,8 @@ TEST(CountingDeterminismTest, SignatureCounterMatchesSequentialAcrossPools) {
                              counter.Count());
     for (const size_t threads : {2, 4, 8}) {
       exec::ThreadPool pool(threads);
-      PSC_ASSERT_OK_AND_ASSIGN(
-          const CountingOutcome parallel,
-          counter.Count(uint64_t{1} << 26, &pool));
+      PSC_ASSERT_OK_AND_ASSIGN(const CountingOutcome parallel,
+                               counter.Count(&pool));
       EXPECT_EQ(parallel.world_count, sequential.world_count)
           << "seed " << seed << " threads " << threads;
       EXPECT_EQ(parallel.feasible_shapes, sequential.feasible_shapes);
@@ -105,8 +104,7 @@ TEST(CountingDeterminismTest, ConfidenceTableMatchesSequentialWithPool) {
         IdentityInstance::Create(collection, IntDomain(5)));
     auto sequential = ComputeBaseFactConfidences(instance);
     exec::ThreadPool pool(4);
-    auto parallel =
-        ComputeBaseFactConfidences(instance, uint64_t{1} << 26, &pool);
+    auto parallel = ComputeBaseFactConfidences(instance, &pool);
     ASSERT_EQ(sequential.ok(), parallel.ok()) << "seed " << seed;
     if (!sequential.ok()) continue;  // inconsistent draw: both agree
     EXPECT_EQ(parallel->world_count, sequential->world_count);

@@ -10,6 +10,7 @@
 #include "psc/exec/memo_cache.h"
 #include "psc/exec/parallel.h"
 #include "psc/obs/log.h"
+#include "psc/obs/metrics.h"
 
 namespace psc {
 namespace {
@@ -91,6 +92,61 @@ TEST(ParallelReduceTest, MatchesSequentialSum) {
                                            merge),
             expected);
 }
+
+#if PSC_OBS_ENABLED
+
+uint64_t ShardsCancelled() {
+  return obs::GlobalMetrics().CounterValue("exec.shards_cancelled");
+}
+
+TEST(ShardsCancelledTest, InlineParallelForCountsSkippedShards) {
+  const limits::CancelToken cancel;
+  const uint64_t before = ShardsCancelled();
+  size_t ran = 0;
+  exec::ParallelFor(
+      nullptr, 10,
+      [&](size_t i) {
+        ++ran;
+        if (i == 3) cancel.Cancel();
+      },
+      &cancel);
+  EXPECT_EQ(ran, 4u);
+  EXPECT_EQ(ShardsCancelled() - before, 6u);
+}
+
+TEST(ShardsCancelledTest, InlineParallelReduceCountsSkippedShards) {
+  const limits::CancelToken cancel;
+  const uint64_t before = ShardsCancelled();
+  const size_t ran = exec::ParallelReduce<size_t>(
+      nullptr, 10, size_t{0},
+      [&](size_t i) {
+        if (i == 3) cancel.Cancel();
+        return size_t{1};
+      },
+      [](size_t& acc, size_t part) { acc += part; }, &cancel);
+  EXPECT_EQ(ran, 4u);
+  EXPECT_EQ(ShardsCancelled() - before, 6u);
+}
+
+TEST(ShardsCancelledTest, PooledHelpersCountSkippedShards) {
+  // Cancelled before the fan-out, so every shard is skipped whichever
+  // worker dequeues it.
+  exec::ThreadPool pool(2);
+  const limits::CancelToken cancel;
+  cancel.Cancel();
+  const uint64_t before = ShardsCancelled();
+  std::atomic<size_t> ran{0};
+  exec::ParallelFor(
+      &pool, 8, [&](size_t) { ran.fetch_add(1); }, &cancel);
+  const size_t reduced = exec::ParallelReduce<size_t>(
+      &pool, 8, size_t{0}, [](size_t) { return size_t{1}; },
+      [](size_t& acc, size_t part) { acc += part; }, &cancel);
+  EXPECT_EQ(ran.load(), 0u);
+  EXPECT_EQ(reduced, 0u);
+  EXPECT_EQ(ShardsCancelled() - before, 16u);
+}
+
+#endif  // PSC_OBS_ENABLED
 
 TEST(ResolveThreadCountTest, ExplicitRequestWinsOverEnvironment) {
   setenv("PSC_THREADS", "7", /*overwrite=*/1);

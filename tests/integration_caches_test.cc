@@ -24,7 +24,7 @@ TEST(CacheIntegrationTest, ConfidenceSeparatesSharedFromStaleEntries) {
   auto instance =
       IdentityInstance::CreateOverExtensions(workload->collection);
   ASSERT_TRUE(instance.ok());
-  auto table = ComputeBaseFactConfidences(*instance, uint64_t{1} << 28);
+  auto table = ComputeBaseFactConfidences(*instance);
   ASSERT_TRUE(table.ok()) << table.status().ToString();
 
   // Average confidence of entries cached by >= 2 caches vs single-cache
@@ -92,7 +92,7 @@ TEST(CacheIntegrationTest, MonteCarloHandlesLargerCaches) {
   auto instance =
       IdentityInstance::CreateOverExtensions(workload->collection);
   ASSERT_TRUE(instance.ok());
-  auto sampler = WorldSampler::Create(&*instance, uint64_t{1} << 22);
+  auto sampler = WorldSampler::Create(&*instance);
   ASSERT_TRUE(sampler.ok()) << sampler.status().ToString();
   Rng rng(21);
   for (int i = 0; i < 20; ++i) {

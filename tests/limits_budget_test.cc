@@ -87,6 +87,18 @@ TEST(BudgetTest, UnitChargesDetectTheDeadlineWithinOneStride) {
   EXPECT_EQ(budget.reason(), StopReason::kDeadline);
 }
 
+TEST(BudgetTest, DeadlinePastTheClockRangeIsNoDeadline) {
+  // 9.3e12 ms from now overflows the steady clock's nanosecond count; the
+  // deadline must mean "none", not wrap into the past and trip at once.
+  const Budget budget = Budget::WithDeadline(9'300'000'000'000);
+  for (uint64_t i = 0; i < 4 * Budget::kDeadlineStride; ++i) {
+    ASSERT_TRUE(budget.Charge()) << "charge " << i;
+  }
+  EXPECT_TRUE(budget.Charge(Budget::kDeadlineStride));
+  EXPECT_FALSE(budget.Expired());
+  EXPECT_EQ(budget.reason(), StopReason::kNone);
+}
+
 TEST(BudgetTest, CancelTripsAndCancelsTheToken) {
   const Budget budget = Budget::WithNodeBudget(1000);
   const CancelToken token = budget.token();

@@ -186,8 +186,7 @@ TEST(NodeBudgetTest, MonteCarloTruncatesToPartialAnswerSequential) {
       const IdentityInstance instance,
       IdentityInstance::Create(Example51Collection(), IntDomain(4)));
   const limits::Budget build_budget = limits::Budget::WithNodeBudget(100);
-  const auto sampler =
-      WorldSampler::Create(&instance, uint64_t{1} << 22, build_budget);
+  const auto sampler = WorldSampler::Create(&instance, build_budget);
   ASSERT_TRUE(sampler.ok()) << sampler.status().ToString();
   ASSERT_GT(build_budget.nodes_charged(), 0u);
   ASSERT_LT(build_budget.nodes_charged(), 100u);

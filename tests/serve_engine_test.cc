@@ -255,6 +255,22 @@ TEST_F(ServeEngineTest, LoadReplacesCollectionAndReportsReload) {
   EXPECT_NE(reloaded.find("\"reloaded\":true"), std::string::npos) << reloaded;
 }
 
+TEST_F(ServeEngineTest, DeadlinePastTheClockRangeAnswersNormally) {
+  // 9.3e12 ms is inside the protocol's 2^53 range but past the steady
+  // clock's: the request runs as if it had no deadline.
+  Load();
+  JsonObjectWriter writer;
+  writer.String("verb", "answer");
+  writer.String("query", "Ans(x) <- R(x)");
+  writer.Raw("domain",
+             "[\"a\",\"b\",\"c\",\"d\",\"e\",\"f\",\"g\",\"h\"]");
+  writer.Uint("deadline_ms", 9'300'000'000'000);
+  const std::string answered = engine_.Call(0, writer.Finish());
+  ASSERT_TRUE(IsOk(answered)) << answered;
+  EXPECT_NE(answered.find("\"truncated\":false"), std::string::npos)
+      << answered;
+}
+
 TEST_F(ServeEngineTest, ExplicitDomainIsHonored) {
   Load();
   JsonObjectWriter writer;

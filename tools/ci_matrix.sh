@@ -18,9 +18,11 @@
 # output-equivalence smoke check (the parallel runtime's determinism
 # contract made executable), a --deadline-ms smoke (a search that
 # would run for minutes must exit cleanly within seconds, reporting
-# limits.deadline_hits and a per-query "deadline" trip in its metrics)
-# and a query-scoped telemetry smoke (--trace-out at --threads 4 must
-# produce a Chrome trace with one connected span tree per query).
+# limits.deadline_hits and a per-query "deadline" trip in its metrics),
+# an exact-enumeration refusal smoke (2^23 worlds must be refused before
+# the first one) and a query-scoped telemetry smoke (--trace-out at
+# --threads 4 must produce a Chrome trace with one connected span tree
+# per query).
 #
 # Usage: tools/ci_matrix.sh [build-root]   (default: build-matrix)
 
@@ -309,6 +311,22 @@ python3 tools/check_metrics_schema.py \
   --require-trip deadline \
   "${deadline_metrics}"
 
+# Up-front refusal smoke: one unconstrained source over a 23-constant
+# domain has 2^23 possible worlds, past the 2^22 an exact enumeration
+# visits, so `answer --method exact` must fail with the resource-exhausted
+# error before the first world, well within the 2 s timeout.
+echo "=== exact-enumeration up-front refusal smoke ==="
+refusal_input="$(mktemp)"
+trap 'rm -f "${smoke_input}" "${bench_metrics}" "${delta_metrics}" "${serving_metrics}" "${deadline_input}" "${deadline_metrics}" "${refusal_input}"; rm -rf "${serve_dir}"' EXIT
+printf 'source S {\n  view: V(x) <- R(x)\n  completeness: 0\n  soundness: 0\n  facts: (0)\n}\n' \
+  > "${refusal_input}"
+if refusal="$(timeout 2 "${smoke_build}/tools/psc" answer "${refusal_input}" \
+    'Ans(x) <- R(x)' --method exact --domain "$(seq -s, 0 22)" 2>&1)" ||
+   ! grep -q "Resource exhausted" <<< "${refusal}"; then
+  echo "FAIL: expected a resource-exhausted refusal, got: ${refusal}" >&2
+  exit 1
+fi
+
 # Telemetry smoke: a 4-thread Monte-Carlo answer with --trace-out must
 # emit a Chrome trace whose spans form one connected tree per query
 # (cross-thread propagation made executable), and its run report must
@@ -316,7 +334,7 @@ python3 tools/check_metrics_schema.py \
 echo "=== query-scoped telemetry smoke ==="
 telemetry_trace="$(mktemp)"
 telemetry_metrics="$(mktemp)"
-trap 'rm -f "${smoke_input}" "${bench_metrics}" "${delta_metrics}" "${serving_metrics}" "${deadline_input}" "${deadline_metrics}" "${telemetry_trace}" "${telemetry_metrics}"; rm -rf "${serve_dir}"' EXIT
+trap 'rm -f "${smoke_input}" "${bench_metrics}" "${delta_metrics}" "${serving_metrics}" "${deadline_input}" "${deadline_metrics}" "${refusal_input}" "${telemetry_trace}" "${telemetry_metrics}"; rm -rf "${serve_dir}"' EXIT
 "${smoke_build}/tools/psc" answer data/example51.psc "Ans(x) <- R(x)" \
   --method mc --samples 20000 --threads 4 --quiet \
   --trace-out "${telemetry_trace}" --metrics-out "${telemetry_metrics}"
@@ -327,4 +345,4 @@ python3 tools/check_metrics_schema.py \
   "${telemetry_metrics}"
 python3 tools/psc_trace_summary.py --k 5 "${telemetry_trace}"
 
-echo "ci matrix passed: lint, PSC_OBS on/off, TSan, ASan+UBSan, Debug lock-rank checks, clang stages (or skipped), --threads equivalence, deadline degradation, query-scoped telemetry, incremental-delta and resident-serving smokes green"
+echo "ci matrix passed: lint, PSC_OBS on/off, TSan, ASan+UBSan, Debug lock-rank checks, clang stages (or skipped), --threads equivalence, deadline degradation, exact-enumeration refusal, query-scoped telemetry, incremental-delta and resident-serving smokes green"

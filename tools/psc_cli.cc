@@ -497,8 +497,7 @@ int RunCertain(const SourceCollection& collection,
   if (!query.ok()) return Fail(query.status());
   auto plan = CompileQuery(*query);
   if (!plan.ok()) return Fail(plan.status());
-  auto bound = CertainAnswerLowerBound(collection, *plan,
-                                       uint64_t{1} << 16, CliBudget(options));
+  auto bound = CertainAnswerLowerBound(collection, *plan, CliBudget(options));
   if (!bound.ok()) return Fail(bound.status());
   std::printf("template-based certain lower bound (%llu combinations%s):\n",
               static_cast<unsigned long long>(bound->combinations),

@@ -28,6 +28,9 @@
 //   --metrics-out PATH         write the run report as JSON on shutdown
 //   --trace-out PATH           write Chrome trace-event JSON on shutdown
 //
+// Without --deadline-ceiling-ms / --node-budget-ceiling (or the request's
+// own deadline_ms / node_budget) a request runs until its method finishes.
+//
 // Shutdown: SIGINT/SIGTERM (or a client's `shutdown` verb) stops
 // admission, cancels in-flight solver work through the engine's drain
 // token, drains the queue so every accepted request still gets its
@@ -78,7 +81,9 @@ int Usage() {
                "[--max-queue N] [--max-batch N] [--deadline-ceiling-ms N] "
                "[--node-budget-ceiling N] [--plan-cache-capacity N] "
                "[--memo-capacity N] [--per-request-scopes] "
-               "[--metrics-out PATH] [--trace-out PATH]\n");
+               "[--metrics-out PATH] [--trace-out PATH]\n"
+               "without --deadline-ceiling-ms / --node-budget-ceiling a "
+               "request runs until its method finishes\n");
   return 2;
 }
 
