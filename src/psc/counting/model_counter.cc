@@ -1,6 +1,7 @@
 #include "psc/counting/model_counter.h"
 
-#include <functional>
+#include <algorithm>
+#include <cstdint>
 #include <utility>
 
 #include "psc/exec/parallel.h"
@@ -33,214 +34,358 @@ void SignatureCounter::BuildSuffixCapacity() {
 
 namespace {
 
-/// Shared DFS over per-group count vectors with soundness pruning.
-/// `visit(counts, weight)` is called for every feasible leaf and returns
-/// false to stop the whole enumeration.
+using Int128 = __int128;
+using Uint128 = unsigned __int128;
+
+// N·2^N < 2^128 ⟺ N < 2^(128−N): true for N = 121, false for N = 122.
+constexpr size_t kMaxFacts128 = SignatureCounter::kMax128BitUniverseFacts;
+static_assert(kMaxFacts128 < (size_t{1} << (128 - kMaxFacts128)) &&
+                  kMaxFacts128 + 1 >= (size_t{1} << (127 - kMaxFacts128)),
+              "kMax128BitUniverseFacts must be the largest N with "
+              "N·2^N < 2^128");
+
+/// value·k for a count k (at most the universe size).
+Uint128 TimesCount(Uint128 value, int64_t k) {
+  return value * static_cast<Uint128>(k);
+}
+BigInt TimesCount(BigInt value, int64_t k) {
+  value.MulU32(static_cast<uint32_t>(k));
+  return value;
+}
+
+BigInt ToBigInt(const BigInt& value) { return value; }
+BigInt ToBigInt(Uint128 value) {
+  const BigInt limb(uint64_t{1} << 32);
+  return BigInt(static_cast<uint64_t>(value >> 64)) * limb * limb +
+         BigInt(static_cast<uint64_t>(value));
+}
+
+/// C(n, 0..n) in 128-bit arithmetic, by C(n, k+1) = C(n, k)·(n−k)/(k+1).
+/// Exact for n ≤ kMax128BitUniverseFacts: C(n, k)·(n−k) ≤ n·2^n < 2^128.
+std::vector<Uint128> BinomialRow128(int64_t n) {
+  std::vector<Uint128> row(static_cast<size_t>(n) + 1);
+  row[0] = 1;
+  for (size_t k = 0; k + 1 < row.size(); ++k) {
+    row[k + 1] = row[k] * static_cast<Uint128>(static_cast<size_t>(n) - k) /
+                 static_cast<Uint128>(k + 1);
+  }
+  return row;
+}
+
+/// Each group's BigInt binomial row, from the shared table.
+std::vector<const std::vector<BigInt>*> BigIntRows(
+    const IdentityInstance& instance, BinomialTable* binomials) {
+  std::vector<const std::vector<BigInt>*> rows;
+  for (const auto& group : instance.groups()) {
+    rows.push_back(&binomials->Row(group.size));
+  }
+  return rows;
+}
+
+/// Level-bounded DFS over per-group count vectors (k_0, …, k_{G−1}) in
+/// lexicographic order, with weights ∏ C(n_g, k_g) in `Num` arithmetic
+/// (`unsigned __int128` or `BigInt`).
 ///
-/// The per-depth prune condition partial[i] + suffix_max[i][g] < tᵢ is
-/// precomputed once per depth as partial[i] < needᵢ(g) with
-/// needᵢ(g) = tᵢ − suffix_max[i][g]; only sources with a positive need can
-/// ever prune (partials are non-negative), so each node scans the short
-/// per-depth `active_` list instead of all sources.
+/// Soundness, partialᵢ + (counts still to choose) ≥ tᵢ, can only be met
+/// while partialᵢ ≥ needᵢ(g) = tᵢ − suffix_max[i][g] at depth g. The level
+/// of group g starts its loop at the least k that keeps every child at
+/// depth g+1 above its need. Only sources whose extension holds group g
+/// can bound that loop: any other source has the same need at depths g
+/// and g+1, and every expanded node meets the needs of its own depth (the
+/// root because tᵢ ≤ |vᵢ|). So the search reaches exactly the count
+/// vectors that pass every soundness test.
+///
+/// The last group is not looped over: soundness and completeness are both
+/// linear in its count k, so for a fixed prefix the feasible k form one
+/// interval [lo, hi], computed from the constraints in O(sources). The
+/// budget is charged one node per expanded node: each internal node, and
+/// each last-group run.
+template <typename Num>
 class ShapeEnumerator {
  public:
-  ShapeEnumerator(const IdentityInstance& instance, BinomialTable& binomials,
+  /// `rows[g]` holds C(n_g, 0..n_g) and must outlive the enumerator.
+  ShapeEnumerator(const IdentityInstance& instance,
+                  std::vector<const std::vector<Num>*> rows,
                   const std::vector<std::vector<int64_t>>& suffix_max,
                   limits::Budget budget)
-      : instance_(instance), binomials_(binomials), budget_(std::move(budget)) {
-    const size_t depths = instance_.groups().size() + 1;
-    active_.resize(depths);
-    for (size_t g = 0; g < depths; ++g) {
+      : instance_(instance),
+        groups_(instance.groups()),
+        rows_(std::move(rows)),
+        budget_(std::move(budget)),
+        members_(groups_.size()),
+        needs_(groups_.size()) {
+    for (size_t g = 0; g < groups_.size(); ++g) {
       for (size_t i = 0; i < instance_.num_sources(); ++i) {
+        if ((groups_[g].signature & (uint64_t{1} << i)) == 0) continue;
+        members_[g].push_back(i);
         const int64_t need =
-            instance_.constraints()[i].min_sound - suffix_max[i][g];
-        if (need > 0) active_[g].emplace_back(i, need);
+            instance_.constraints()[i].min_sound - suffix_max[i][g + 1];
+        if (need > 0) needs_[g].emplace_back(i, need);
       }
     }
-  }
-
-  /// Returns false iff the visitor requested an early stop.
-  Result<bool> Run(const std::function<bool(const std::vector<int64_t>&,
-                                            const BigInt&)>& visit) {
-    return RunWithFirstGroup(-1, visit);
-  }
-
-  /// \brief Runs the DFS with the first group's count pinned to
-  /// `first_count` (or unpinned when negative).
-  ///
-  /// The pinned form enumerates exactly the subtree the unpinned DFS
-  /// explores under counts[0] == first_count, which is what makes the
-  /// parallel counter's shard union identical to the sequential
-  /// enumeration, leaf for leaf.
-  Result<bool> RunWithFirstGroup(
-      int64_t first_count,
-      const std::function<bool(const std::vector<int64_t>&, const BigInt&)>&
-          visit) {
-    visit_ = &visit;
-    counts_.assign(instance_.groups().size(), 0);
-    partial_in_extension_.assign(instance_.num_sources(), 0);
-    visited_ = 0;
-    const BigInt one(1);
-    if (first_count < 0) return Recurse(0, one, one);
-    // Seed depth 0: counts_[0] = k, partials and weight follow.
-    PSC_CHECK(!instance_.groups().empty() &&
-              first_count <= instance_.groups()[0].size);
-    const IdentityInstance::Group& group = instance_.groups()[0];
-    counts_[0] = first_count;
     for (size_t i = 0; i < instance_.num_sources(); ++i) {
-      if ((group.signature & (uint64_t{1} << i)) != 0) {
-        partial_in_extension_[i] += first_count;
-      }
+      const Rational& c = instance_.constraints()[i].completeness;
+      if (c.IsZero()) continue;
+      const bool member =
+          !groups_.empty() &&
+          (groups_.back().signature & (uint64_t{1} << i)) != 0;
+      completeness_.push_back(
+          {i, member, c.numerator(), c.denominator()});
     }
-    return Recurse(1, one, binomials_.Choose(group.size, first_count));
   }
 
+  /// \brief Calls `run(counts, weight, lo, hi)` for every last-group run
+  /// with a non-empty feasible interval [lo, hi], in lexicographic order.
+  /// `counts` holds the prefix k_0..k_{G−2} (its last entry is 0) and
+  /// `weight` the prefix's ∏ C(n_g, k_g); `run` returns false to stop.
+  /// Returns false iff stopped. Requires at least one group.
+  ///
+  /// With `first_count` ≥ 0 only the subtree k_0 = first_count is
+  /// searched, and its root is not charged: a sharded caller charges the
+  /// root once through `ExpandRoot` and passes counts it admits.
+  template <typename RunFn>
+  Result<bool> ForEachRun(int64_t first_count, RunFn&& run) {
+    PSC_CHECK(!groups_.empty());
+    Reset();
+    if (first_count < 0) return Level(0, Num(1), run);
+    PSC_CHECK(groups_.size() >= 2 && first_count <= groups_[0].size);
+    Choose(0, first_count);
+    return Level(1, (*rows_[0])[static_cast<size_t>(first_count)], run);
+  }
+
+  /// \brief Calls `visit(counts, weight)` for every feasible shape in
+  /// lexicographic order; `visit` returns false to stop. Returns false
+  /// iff stopped.
+  template <typename VisitFn>
+  Result<bool> ForEachShape(VisitFn&& visit) {
+    Reset();
+    if (groups_.empty()) {
+      // The empty universe has one world, the empty one, and it meets
+      // every bound: all thresholds and extensions are empty.
+      if (!budget_.Charge()) return budget_.ToStatus();
+      visited_ = 1;
+      return visit(counts_, Num(1));
+    }
+    const size_t last = groups_.size() - 1;
+    const std::vector<Num>& row = *rows_[last];
+    auto run = [&](const std::vector<int64_t>&, const Num& weight, int64_t lo,
+                   int64_t hi) {
+      for (int64_t k = lo; k <= hi; ++k) {
+        counts_[last] = k;
+        if (!visit(counts_, weight * row[static_cast<size_t>(k)])) {
+          // The run counted its whole sound range; keep only the vectors
+          // up to the shape the visitor stopped at.
+          visited_ -= static_cast<uint64_t>(groups_[last].size - k);
+          return false;
+        }
+      }
+      counts_[last] = 0;
+      return true;
+    };
+    return Level(0, Num(1), run);
+  }
+
+  /// \brief Expands the root for a sharded search: charges its node and
+  /// returns the least first-group count the soundness tests admit (the
+  /// admitted counts are [that, n_0]).
+  Result<int64_t> ExpandRoot() {
+    Reset();
+    if (!budget_.Charge()) return budget_.ToStatus();
+    return LeastCount(0);
+  }
+
+  /// Count vectors that passed every soundness test so far.
   uint64_t visited() const { return visited_; }
 
  private:
-  /// Visits the node at depth `g` whose weight is `parent_weight` ×
-  /// `factor` (the C(n, k) of the count just chosen). The product is formed
-  /// only once the node survives pruning — and at a leaf only once its
-  /// counts are feasible — so pruned children cost no BigInt multiply.
-  Result<bool> Recurse(size_t g, const BigInt& parent_weight,
-                       const BigInt& factor) {
-    // Cooperative limits: one budget node per DFS tree node. Workers of a
-    // sharded count share the budget, so the first shard to trip it stops
-    // every other shard at its next node.
-    if (!budget_.Charge()) return budget_.ToStatus();
-    // Soundness pruning: some source can no longer reach its minimum.
-    for (const auto& [i, need] : active_[g]) {
-      if (partial_in_extension_[i] < need) return true;
-    }
-    if (g == instance_.groups().size()) {
-      ++visited_;
-      if (instance_.CheckCounts(counts_)) {
-        return (*visit_)(counts_, parent_weight * factor);
-      }
-      return true;
-    }
-    const BigInt weight = parent_weight * factor;
-    const IdentityInstance::Group& group = instance_.groups()[g];
-    for (int64_t k = 0; k <= group.size; ++k) {
-      counts_[g] = k;
-      for (size_t i = 0; i < instance_.num_sources(); ++i) {
-        if ((group.signature & (uint64_t{1} << i)) != 0) {
-          partial_in_extension_[i] += k;
-        }
-      }
-      auto deeper = Recurse(g + 1, weight, binomials_.Choose(group.size, k));
-      for (size_t i = 0; i < instance_.num_sources(); ++i) {
-        if ((group.signature & (uint64_t{1} << i)) != 0) {
-          partial_in_extension_[i] -= k;
-        }
-      }
-      if (!deeper.ok()) return deeper.status();
-      if (!*deeper) {
-        counts_[g] = 0;
-        return false;
-      }
-    }
+  /// A completeness bound cᵢ = num/den > 0 and whether source i's
+  /// extension holds the last group.
+  struct CompletenessTerm {
+    size_t source;
+    bool member;
+    int64_t num;
+    int64_t den;
+  };
+
+  void Reset() {
+    counts_.assign(groups_.size(), 0);
+    partial_.assign(instance_.num_sources(), 0);
+    total_ = 0;
+    visited_ = 0;
+  }
+
+  void Choose(size_t g, int64_t k) {
+    counts_[g] = k;
+    total_ += k;
+    for (const size_t i : members_[g]) partial_[i] += k;
+  }
+
+  void Unchoose(size_t g, int64_t k) {
     counts_[g] = 0;
+    total_ -= k;
+    for (const size_t i : members_[g]) partial_[i] -= k;
+  }
+
+  /// Least count of group g that keeps every child above its needs.
+  int64_t LeastCount(size_t g) const {
+    int64_t lo = 0;
+    for (const auto& [i, need] : needs_[g]) {
+      lo = std::max(lo, need - partial_[i]);
+    }
+    return lo;
+  }
+
+  template <typename RunFn>
+  Result<bool> Level(size_t g, const Num& weight, RunFn& run) {
+    // Workers of a sharded count share the budget, so the first shard to
+    // trip it stops every other shard at its next node.
+    if (!budget_.Charge()) return budget_.ToStatus();
+    const int64_t lo = LeastCount(g);
+    if (g + 1 == groups_.size()) return Run(weight, lo, run);
+    const std::vector<Num>& row = *rows_[g];
+    for (int64_t k = lo; k <= groups_[g].size; ++k) {
+      Choose(g, k);
+      auto deeper = Level(g + 1, weight * row[static_cast<size_t>(k)], run);
+      Unchoose(g, k);
+      if (!deeper.ok()) return deeper.status();
+      if (!*deeper) return false;
+    }
     return true;
   }
 
+  /// The last group's run: every count in [sound_lo, n] passes soundness;
+  /// completeness cuts that range down to the feasible interval.
+  template <typename RunFn>
+  Result<bool> Run(const Num& weight, int64_t sound_lo, RunFn& run) {
+    const int64_t size = groups_.back().size;
+    visited_ += static_cast<uint64_t>(size - sound_lo + 1);
+    // Completeness of source i at last count k, with prefix total T and
+    // prefix in-extension count Pᵢ: num·(T + k) ≤ den·(Pᵢ + [member]·k).
+    // A bound is divided out only when it cuts the current range.
+    int64_t lo = sound_lo;
+    int64_t hi = size;
+    for (const CompletenessTerm& term : completeness_) {
+      const Int128 slack = Int128(term.den) * partial_[term.source] -
+                           Int128(term.num) * total_;
+      if (term.member) {
+        // (den − num)·k ≥ −slack, with den ≥ num since cᵢ ≤ 1.
+        const int64_t step = term.den - term.num;
+        if (Int128(step) * lo >= -slack) continue;
+        if (step == 0) return true;
+        const Int128 least = Quotient(-slack + (step - 1), step);
+        if (least > hi) return true;
+        lo = static_cast<int64_t>(least);
+      } else {
+        // num·k ≤ slack.
+        if (Int128(term.num) * hi <= slack) continue;
+        if (slack < 0) return true;
+        hi = static_cast<int64_t>(Quotient(slack, term.num));
+      }
+    }
+    if (lo > hi) return true;
+    return run(counts_, weight, lo, hi);
+  }
+
+  /// ⌊a / b⌋ for a ≥ 0 and b > 0, in one machine division when a fits.
+  static Int128 Quotient(Int128 a, int64_t b) {
+    if (a <= INT64_MAX) return static_cast<int64_t>(a) / b;
+    return a / b;
+  }
+
   const IdentityInstance& instance_;
-  BinomialTable& binomials_;
+  const std::vector<IdentityInstance::Group>& groups_;
+  std::vector<const std::vector<Num>*> rows_;
   /// Cooperative deadline / work budget (shared state across copies).
   limits::Budget budget_;
-  /// active_[g]: (source, need) pairs that can actually prune at depth g.
-  std::vector<std::vector<std::pair<size_t, int64_t>>> active_;
-  const std::function<bool(const std::vector<int64_t>&, const BigInt&)>*
-      visit_ = nullptr;
+  /// members_[g]: the sources whose extension holds group g.
+  std::vector<std::vector<size_t>> members_;
+  /// needs_[g]: (i, needᵢ(g+1)) for member sources with a positive need.
+  std::vector<std::vector<std::pair<size_t, int64_t>>> needs_;
+  std::vector<CompletenessTerm> completeness_;
   std::vector<int64_t> counts_;
-  std::vector<int64_t> partial_in_extension_;
+  std::vector<int64_t> partial_;
+  int64_t total_ = 0;
   uint64_t visited_ = 0;
 };
 
-/// Per-shard accumulator for the parallel count: the k-th shard owns the
-/// counts[0] == k subtree.
-struct CountShard {
-  BigInt world_count;
-  std::vector<BigInt> marked_sums;
+/// Sums over the feasible shapes of one search, or of one shard of it.
+template <typename Num>
+struct CountSums {
+  Num world_count{};
+  /// Σ weight·k_g per group g.
+  std::vector<Num> marked_sums;
   uint64_t feasible_shapes = 0;
   uint64_t visited_shapes = 0;
   Status error;
 };
 
-}  // namespace
+/// `Count` in `Num` arithmetic over an instance with at least one group.
+template <typename Num>
+Result<CountingOutcome> CountRuns(
+    const IdentityInstance& instance,
+    const std::vector<const std::vector<Num>*>& rows,
+    const std::vector<std::vector<int64_t>>& suffix_max,
+    exec::ThreadPool* pool, const limits::Budget& budget) {
+  const auto& groups = instance.groups();
+  const size_t last = groups.size() - 1;
+  // Prefix sums of the last group's row: sum0[j] = Σ_{k<j} C(n, k) and
+  // sum1[j] = Σ_{k<j} k·C(n, k), so a run sums in two subtractions.
+  const std::vector<Num>& row = *rows[last];
+  std::vector<Num> sum0(row.size() + 1);
+  std::vector<Num> sum1(row.size() + 1);
+  for (size_t k = 0; k < row.size(); ++k) {
+    sum0[k + 1] = sum0[k] + row[k];
+    sum1[k + 1] = sum1[k] + TimesCount(row[k], static_cast<int64_t>(k));
+  }
+  // The whole search (first_count < 0) or the shard under one first-group
+  // count. A run of prefix weight W over [lo, hi] holds Σ_k W·C(n, k)
+  // worlds; each carries the prefix's counts, and Σ_k W·k·C(n, k) marks
+  // the last group.
+  const auto search = [&](int64_t first_count) {
+    CountSums<Num> sums;
+    sums.marked_sums.resize(groups.size());
+    ShapeEnumerator<Num> enumerator(instance, rows, suffix_max, budget);
+    auto searched = enumerator.ForEachRun(
+        first_count, [&](const std::vector<int64_t>& counts,
+                         const Num& weight, int64_t lo, int64_t hi) {
+          const size_t begin = static_cast<size_t>(lo);
+          const size_t end = static_cast<size_t>(hi) + 1;
+          const Num run_weight = weight * (sum0[end] - sum0[begin]);
+          for (size_t g = 0; g < last; ++g) {
+            if (counts[g] != 0) {
+              sums.marked_sums[g] += TimesCount(run_weight, counts[g]);
+            }
+          }
+          sums.marked_sums[last] += weight * (sum1[end] - sum1[begin]);
+          sums.world_count += run_weight;
+          sums.feasible_shapes += static_cast<uint64_t>(hi - lo + 1);
+          return true;
+        });
+    if (!searched.ok()) sums.error = searched.status();
+    sums.visited_shapes = enumerator.visited();
+    return sums;
+  };
 
-Result<CountingOutcome> SignatureCounter::Count(exec::ThreadPool* pool,
-                                                const limits::Budget& budget) {
-  PSC_OBS_SPAN("counting.count");
-  CountingOutcome outcome;
-  const auto& groups = instance_->groups();
-  // Σ over feasible shapes of weight·k_g, later divided by n_g.
-  std::vector<BigInt> marked_sums(groups.size());
-
-  const bool parallel =
-      pool != nullptr && pool->size() > 1 && !groups.empty();
-  if (!parallel) {
-    ShapeEnumerator enumerator(*instance_, *binomials_, suffix_max_, budget);
-    PSC_RETURN_NOT_OK(
-        enumerator
-            .Run([&](const std::vector<int64_t>& counts,
-                     const BigInt& weight) {
-              ++outcome.feasible_shapes;
-              outcome.world_count += weight;
-              for (size_t g = 0; g < groups.size(); ++g) {
-                if (counts[g] == 0) continue;
-                BigInt term = weight;
-                term.MulU32(static_cast<uint32_t>(counts[g]));
-                marked_sums[g] += term;
-              }
-              return true;
-            })
-            .status());
-    outcome.visited_shapes = enumerator.visited();
+  CountSums<Num> merged;
+  if (pool == nullptr || pool->size() <= 1 || groups.size() < 2) {
+    merged = search(-1);
   } else {
-    // One shard per value of counts[0]; per-shard partials merge in shard
-    // order, so the BigInt totals equal the sequential fold bit for bit.
-    // Every binomial row a shard can touch is materialized up front: the
-    // shards then only read the shared table, instead of each rebuilding
-    // the (potentially huge) first-group row from scratch.
-    for (const auto& group : groups) binomials_->Warm(group.size);
-    const size_t shards = static_cast<size_t>(groups[0].size) + 1;
-    // A tripped budget cancels shards still queued on the pool; shards
-    // skipped this way merge as empty-and-error-free, which is safe
-    // because the shard that tripped the budget always carries the error.
+    // One shard per admitted first-group count. Shards only read the
+    // binomial rows and merge exact sums in shard order.
+    ShapeEnumerator<Num> root(instance, rows, suffix_max, budget);
+    PSC_ASSIGN_OR_RETURN(const int64_t first_lo, root.ExpandRoot());
+    const size_t shards = static_cast<size_t>(groups[0].size - first_lo + 1);
     const limits::CancelToken cancel_token = budget.token();
-    const limits::CancelToken* cancel =
-        budget.active() ? &cancel_token : nullptr;
-    CountShard merged;
     merged.marked_sums.resize(groups.size());
-    merged = exec::ParallelReduce<CountShard>(
+    merged = exec::ParallelReduce<CountSums<Num>>(
         pool, shards, std::move(merged),
-        [&](size_t k) {
-          CountShard shard;
-          shard.marked_sums.resize(groups.size());
-          ShapeEnumerator enumerator(*instance_, *binomials_, suffix_max_,
-                                     budget);
-          auto run = enumerator.RunWithFirstGroup(
-              static_cast<int64_t>(k),
-              [&](const std::vector<int64_t>& counts, const BigInt& weight) {
-                ++shard.feasible_shapes;
-                shard.world_count += weight;
-                for (size_t g = 0; g < groups.size(); ++g) {
-                  if (counts[g] == 0) continue;
-                  BigInt term = weight;
-                  term.MulU32(static_cast<uint32_t>(counts[g]));
-                  shard.marked_sums[g] += term;
-                }
-                return true;
-              });
-          if (!run.ok()) shard.error = run.status();
-          shard.visited_shapes = enumerator.visited();
-          return shard;
+        [&](size_t shard) {
+          return search(first_lo + static_cast<int64_t>(shard));
         },
-        [](CountShard& acc, CountShard part) {
+        [](CountSums<Num>& acc, CountSums<Num> part) {
           if (!acc.error.ok()) return;
           if (!part.error.ok()) {
-            acc.error = part.error;
+            acc.error = std::move(part.error);
             return;
           }
           acc.world_count += part.world_count;
@@ -250,41 +395,75 @@ Result<CountingOutcome> SignatureCounter::Count(exec::ThreadPool* pool,
           acc.feasible_shapes += part.feasible_shapes;
           acc.visited_shapes += part.visited_shapes;
         },
-        cancel);
-    PSC_RETURN_NOT_OK(merged.error);
-    // All-shards-skipped corner (e.g. an external Cancel before any shard
-    // ran): no shard recorded an error, but the count is not complete.
-    if (budget.reason() != limits::StopReason::kNone) {
+        budget.active() ? &cancel_token : nullptr);
+    // Shards skipped after a cancel never reached the merge: the sums are
+    // then partial even though no shard that ran saw the trip.
+    if (merged.error.ok() && budget.reason() != limits::StopReason::kNone) {
       return budget.ToStatus();
     }
-    outcome.world_count = std::move(merged.world_count);
-    marked_sums = std::move(merged.marked_sums);
-    outcome.feasible_shapes = merged.feasible_shapes;
-    outcome.visited_shapes = merged.visited_shapes;
+  }
+  PSC_RETURN_NOT_OK(merged.error);
+
+  CountingOutcome outcome;
+  outcome.world_count = ToBigInt(merged.world_count);
+  outcome.feasible_shapes = merged.feasible_shapes;
+  outcome.visited_shapes = merged.visited_shapes;
+  outcome.worlds_containing.resize(groups.size());
+  for (size_t g = 0; g < groups.size(); ++g) {
+    // C(n,k)·k = n·C(n−1,k−1), so the sum is divisible by n_g termwise.
+    outcome.worlds_containing[g] =
+        ToBigInt(merged.marked_sums[g])
+            .DivExactU32(static_cast<uint32_t>(groups[g].size));
+  }
+  return outcome;
+}
+
+}  // namespace
+
+Result<CountingOutcome> SignatureCounter::Count(exec::ThreadPool* pool,
+                                                const limits::Budget& budget) {
+  PSC_OBS_SPAN("counting.count");
+  CountingOutcome outcome;
+  if (instance_->groups().empty()) {
+    // The empty universe: one world, the empty one, feasible (see
+    // ForEachShape).
+    if (!budget.Charge()) return budget.ToStatus();
+    outcome.world_count = BigInt(1);
+    outcome.feasible_shapes = 1;
+    outcome.visited_shapes = 1;
+  } else if (instance_->universe().size() <= kMax128BitUniverseFacts) {
+    std::vector<std::vector<Uint128>> owned;
+    std::vector<const std::vector<Uint128>*> rows;
+    owned.reserve(instance_->groups().size());
+    for (const auto& group : instance_->groups()) {
+      owned.push_back(BinomialRow128(group.size));
+      rows.push_back(&owned.back());
+    }
+    PSC_ASSIGN_OR_RETURN(outcome, CountRuns<Uint128>(*instance_, rows,
+                                                     suffix_max_, pool,
+                                                     budget));
+  } else {
+    PSC_ASSIGN_OR_RETURN(
+        outcome,
+        CountRuns<BigInt>(*instance_, BigIntRows(*instance_, binomials_),
+                          suffix_max_, pool, budget));
   }
   PSC_OBS_COUNTER_ADD("counting.shapes_visited", outcome.visited_shapes);
   PSC_OBS_COUNTER_ADD("counting.feasible_shapes", outcome.feasible_shapes);
-
-  outcome.worlds_containing.resize(groups.size());
-  for (size_t g = 0; g < groups.size(); ++g) {
-    if (marked_sums[g].IsZero()) continue;
-    // C(n,k)·k = n·C(n−1,k−1), so the sum is divisible by n_g termwise.
-    outcome.worlds_containing[g] =
-        marked_sums[g].DivExactU32(static_cast<uint32_t>(groups[g].size));
-  }
   return outcome;
 }
 
 Result<std::vector<WorldShape>> SignatureCounter::FeasibleShapes(
     const limits::Budget& budget) {
   std::vector<WorldShape> shapes;
-  ShapeEnumerator enumerator(*instance_, *binomials_, suffix_max_, budget);
+  ShapeEnumerator<BigInt> enumerator(
+      *instance_, BigIntRows(*instance_, binomials_), suffix_max_, budget);
   PSC_ASSIGN_OR_RETURN(
       const bool completed,
-      enumerator.Run(
-          [&](const std::vector<int64_t>& counts, const BigInt& weight) {
+      enumerator.ForEachShape(
+          [&](const std::vector<int64_t>& counts, BigInt weight) {
             if (shapes.size() == kMaxStoredShapes) return false;
-            shapes.push_back(WorldShape{counts, weight});
+            shapes.push_back(WorldShape{counts, std::move(weight)});
             return true;
           }));
   if (!completed) {
@@ -297,11 +476,12 @@ Result<std::vector<WorldShape>> SignatureCounter::FeasibleShapes(
 Result<std::optional<WorldShape>> SignatureCounter::FirstFeasibleShape(
     uint64_t* visited, const limits::Budget& budget) {
   std::optional<WorldShape> first;
-  ShapeEnumerator enumerator(*instance_, *binomials_, suffix_max_, budget);
+  ShapeEnumerator<BigInt> enumerator(
+      *instance_, BigIntRows(*instance_, binomials_), suffix_max_, budget);
   PSC_RETURN_NOT_OK(
       enumerator
-          .Run([&](const std::vector<int64_t>& counts, const BigInt& weight) {
-            first = WorldShape{counts, weight};
+          .ForEachShape([&](const std::vector<int64_t>& counts, BigInt weight) {
+            first = WorldShape{counts, std::move(weight)};
             return false;
           })
           .status());

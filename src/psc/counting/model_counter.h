@@ -1,6 +1,7 @@
 #ifndef PSC_COUNTING_MODEL_COUNTER_H_
 #define PSC_COUNTING_MODEL_COUNTER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -35,7 +36,8 @@ struct CountingOutcome {
   std::vector<BigInt> worlds_containing;
   /// Number of feasible count vectors (shapes).
   uint64_t feasible_shapes = 0;
-  /// Number of count vectors visited by the enumeration (pruning metric).
+  /// Number of count vectors that pass every soundness test — the vectors
+  /// the search reaches (pruning metric).
   uint64_t visited_shapes = 0;
 };
 
@@ -49,25 +51,38 @@ struct CountingOutcome {
 /// C(n_g−1, k_g−1) = C(n_g, k_g)·k_g/n_g, accumulating Σ weight·k_g and
 /// dividing by n_g at the end (exact: each term is divisible).
 ///
-/// A soundness-based branch-and-bound prunes count prefixes that cannot
-/// reach tᵢ = ⌈sᵢkᵢ⌉ for some source i.
+/// The search visits only count vectors that pass every soundness test
+/// |D ∩ vᵢ| ≥ tᵢ = ⌈sᵢkᵢ⌉: each group's count loop starts at the least
+/// count that can still reach every tᵢ. Both constraints are linear in the
+/// last group's count, so for a fixed prefix its feasible counts form one
+/// interval, computed in O(sources) and handled as one *run*.
 class SignatureCounter {
  public:
   /// `instance` and `binomials` must outlive the counter.
   SignatureCounter(const IdentityInstance* instance, BinomialTable* binomials);
 
+  /// Largest universe `Count` sums in 128-bit arithmetic. Every sum it
+  /// forms is at most Σ_D |D| = N·2^(N−1) over the N-fact universe, and
+  /// N·2^N < 2^128 holds exactly for N ≤ 121 (121·2^121 < 2^7·2^121, but
+  /// 122·2^122 ≥ 2^6·2^122). Larger universes sum in `BigInt`.
+  static constexpr size_t kMax128BitUniverseFacts = 121;
+
   /// \brief Counts all worlds and per-group containment counts.
   ///
   /// Fails with `budget.ToStatus()` (DeadlineExceeded /
-  /// ResourceExhausted) when the cooperative budget trips — the DFS
-  /// charges one budget node per count-vector tree node, on every worker.
+  /// ResourceExhausted) when the cooperative budget trips. The search
+  /// charges one budget node per node it expands: an internal count-vector
+  /// node, or one last-group run.
   ///
-  /// With a multi-worker `pool` the count-vector DFS is sharded on the
-  /// first group's count value; the shared `BinomialTable` is pre-warmed
-  /// so shards only read it, and per-shard BigInt accumulators are merged
-  /// in shard order, so the outcome is bit-identical to the sequential
-  /// run for any worker count. A tripped budget also cancels shards still
-  /// queued on the pool.
+  /// Each run adds Σ_k C(n, k) and Σ_k k·C(n, k) over its interval from
+  /// per-row prefix sums. Universes of at most `kMax128BitUniverseFacts`
+  /// facts sum in `unsigned __int128`, larger ones in `BigInt`; the
+  /// outcome is the same either way.
+  ///
+  /// With a multi-worker `pool` the search is sharded on the first group's
+  /// count; per-shard sums are exact and merged in shard order, so the
+  /// outcome is bit-identical to the sequential run for any worker count.
+  /// A tripped budget also cancels shards still queued on the pool.
   Result<CountingOutcome> Count(exec::ThreadPool* pool = nullptr,
                                 const limits::Budget& budget =
                                     limits::Budget());
@@ -76,15 +91,18 @@ class SignatureCounter {
   /// stores a count vector and a BigInt weight.
   static constexpr uint64_t kMaxStoredShapes = uint64_t{1} << 22;
 
-  /// \brief Enumerates the feasible shapes themselves (for world sampling
-  /// and world enumeration). Fails with ResourceExhausted if more than
+  /// \brief Enumerates the feasible shapes themselves, in lexicographic
+  /// order of their count vectors (for world sampling and world
+  /// enumeration). Fails with ResourceExhausted if more than
   /// `kMaxStoredShapes` are feasible, and with `budget.ToStatus()` when
-  /// the budget trips.
+  /// the budget trips (charged as `Count` charges).
   Result<std::vector<WorldShape>> FeasibleShapes(
       const limits::Budget& budget = limits::Budget());
 
   /// \brief Stops at the first feasible shape — a constructive consistency
   /// check. nullopt when poss(S) is empty over the instance's universe.
+  /// `visited` receives the number of count vectors passing every
+  /// soundness test, up to and including the shape returned.
   Result<std::optional<WorldShape>> FirstFeasibleShape(
       uint64_t* visited = nullptr,
       const limits::Budget& budget = limits::Budget());

@@ -19,6 +19,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -39,9 +40,7 @@ namespace exec {
 /// skipped entirely (its `body` is never entered), so a tripped deadline
 /// cancels queued work instead of draining it. In-flight bodies are never
 /// interrupted — cancellation inside a shard stays the shard's own
-/// (cooperative) responsibility. Skipped indices leave whatever state the
-/// caller preallocated untouched; callers that merge partial results must
-/// make "never ran" distinguishable or benign.
+/// (cooperative) responsibility.
 void ParallelFor(ThreadPool* pool, size_t n,
                  const std::function<void(size_t)>& body,
                  const limits::CancelToken* cancel = nullptr);
@@ -54,28 +53,27 @@ void ParallelFor(ThreadPool* pool, size_t n,
 /// any pool size.
 ///
 /// With a non-null `cancel`, shards queued behind a cancellation are
-/// skipped and contribute a value-initialized `T` to the merge (see
-/// ParallelFor); a shard that observed the trip from the inside should
-/// carry that fact in its `T` so the merged result is not silently
-/// partial.
+/// skipped (see ParallelFor) and never reach `merge`: the result folds
+/// exactly the shards that ran. A caller that needs every shard checks
+/// the token after the call.
 template <typename T, typename ShardFn, typename MergeFn>
 T ParallelReduce(ThreadPool* pool, size_t n, T init, const ShardFn& shard,
                  const MergeFn& merge,
                  const limits::CancelToken* cancel = nullptr) {
+  T acc = std::move(init);
   if (pool == nullptr || pool->size() <= 1 || n <= 1) {
     // ParallelFor's inline loop: shards in index order, each merged as it
     // finishes, and shards skipped after a cancel counted.
-    T acc = std::move(init);
     ParallelFor(
         nullptr, n, [&](size_t i) { merge(acc, shard(i)); }, cancel);
     return acc;
   }
-  std::vector<T> parts(n);
+  // Only the shards that ran hold a part.
+  std::vector<std::optional<T>> parts(n);
   ParallelFor(
-      pool, n, [&](size_t i) { parts[i] = shard(i); }, cancel);
-  T acc = std::move(init);
-  for (size_t i = 0; i < n; ++i) {
-    merge(acc, std::move(parts[i]));
+      pool, n, [&](size_t i) { parts[i].emplace(shard(i)); }, cancel);
+  for (std::optional<T>& part : parts) {
+    if (part.has_value()) merge(acc, std::move(*part));
   }
   return acc;
 }

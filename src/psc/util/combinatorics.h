@@ -27,6 +27,10 @@ class BinomialTable {
   /// \brief Returns C(n, k); zero when k > n. `n` and `k` must be >= 0.
   const BigInt& Choose(int64_t n, int64_t k);
 
+  /// \brief Returns row `n`, C(n, 0..n), materializing it on first use.
+  /// The reference stays valid for the table's lifetime.
+  const std::vector<BigInt>& Row(int64_t n);
+
   /// \brief Materializes row `n` ahead of time.
   ///
   /// Once every row a computation can touch has been warmed, `Choose` is
@@ -36,8 +40,6 @@ class BinomialTable {
   void Warm(int64_t n) { Row(n); }
 
  private:
-  const std::vector<BigInt>& Row(int64_t n);
-
   std::map<int64_t, std::vector<BigInt>> rows_;
   BigInt zero_;
 };

@@ -54,6 +54,21 @@ TEST(QuerySystemOptionsTest, ShapeCapSurfacesInBaseConfidences) {
             StatusCode::kResourceExhausted);
 }
 
+TEST(QuerySystemOptionsTest, CancelledBaseConfidencesFailAtFourThreads) {
+  // A token cancelled before the call stops the sharded count with a typed
+  // error; no shard that never ran may reach the merge.
+  QuerySystem::Options options;
+  options.threads = 4;
+  options.cancel.emplace();
+  options.cancel->Cancel();
+  auto system = QuerySystem::Create(
+      MakeUnaryCollection({MakeUnarySource("S", {0, 1}, "0", "0")}),
+      options);
+  ASSERT_TRUE(system.ok());
+  EXPECT_EQ(system->BaseConfidences(IntDomain(4)).status().code(),
+            StatusCode::kDeadlineExceeded);
+}
+
 TEST(QuerySystemOptionsTest, UniverseBitsCapOnBruteForceFallback) {
   // Non-identity collection with a domain whose fact universe exceeds the
   // brute-force bound.

@@ -93,6 +93,37 @@ TEST(ParallelReduceTest, MatchesSequentialSum) {
             expected);
 }
 
+TEST(ShardsCancelledTest, SkippedShardsNeverReachMerge) {
+  // Every part the merge sees must come from a shard that ran, whether the
+  // token was cancelled before the fan-out or by the first shard.
+  struct Part {
+    size_t shards = 0;
+    bool ran = false;
+  };
+  exec::ThreadPool pool(2);
+  for (const bool cancel_first : {true, false}) {
+    const limits::CancelToken cancel;
+    if (cancel_first) cancel.Cancel();
+    std::atomic<size_t> ran{0};
+    const Part reduced = exec::ParallelReduce<Part>(
+        &pool, 64, Part{0, true},
+        [&](size_t i) {
+          ran.fetch_add(1);
+          if (i == 0) cancel.Cancel();
+          return Part{1, true};
+        },
+        [](Part& acc, Part part) {
+          EXPECT_TRUE(part.ran) << "a skipped shard reached the merge";
+          acc.shards += part.shards;
+        },
+        &cancel);
+    EXPECT_EQ(reduced.shards, ran.load());
+    if (cancel_first) {
+      EXPECT_EQ(ran.load(), 0u);
+    }
+  }
+}
+
 #if PSC_OBS_ENABLED
 
 uint64_t ShardsCancelled() {

@@ -5,7 +5,8 @@
 #   PSC_OBS=OFF (PSC_OBS_* macros compile to nothing)
 #   PSC_SANITIZE=thread (ThreadSanitizer over the concurrency-heavy tests)
 #   PSC_SANITIZE=address,undefined (ASan+UBSan over the overflow-prone
-#     parsing/arithmetic tests and the limits machinery)
+#     parsing/arithmetic tests and the limits machinery, then the budget
+#     and cancellation tests repeated up to 50 times each)
 #   Debug (lock-rank deadlock detection on over the tsan-labelled suites)
 #   clang++ -Wthread-safety (static lock verification; skipped w/o clang)
 #   clang-tidy (.clang-tidy profile; skipped when not installed)
@@ -69,6 +70,15 @@ echo "=== PSC_SANITIZE=address,undefined -> ${asan_dir} ==="
 cmake -B "${asan_dir}" -S . -DPSC_SANITIZE=address,undefined >/dev/null
 cmake --build "${asan_dir}" -j "${jobs}"
 (cd "${asan_dir}" && ctest --output-on-failure -j "${jobs}" -L asan)
+
+# Repeat stage in the same ASan+UBSan build: a race that fails one run in
+# ten passes a single run by luck, so the budget and cancellation tests
+# of the core, limits, counting and exec suites run up to 50 times each
+# and stop at the first failure.
+echo "=== budget/cancellation tests x50 under ASan+UBSan -> ${asan_dir} ==="
+(cd "${asan_dir}" && ctest --output-on-failure -j "${jobs}" \
+  --repeat until-fail:50 \
+  -R 'QuerySystemOptionsTest|NodeBudgetTest|Deadline.*Test|SignatureCounterTest|ShardsCancelledTest')
 
 # Debug build: rank checking defaults ON there (see
 # src/psc/sync/mutex.cc RankCheckingDefault), so running the
@@ -345,4 +355,4 @@ python3 tools/check_metrics_schema.py \
   "${telemetry_metrics}"
 python3 tools/psc_trace_summary.py --k 5 "${telemetry_trace}"
 
-echo "ci matrix passed: lint, PSC_OBS on/off, TSan, ASan+UBSan, Debug lock-rank checks, clang stages (or skipped), --threads equivalence, deadline degradation, exact-enumeration refusal, query-scoped telemetry, incremental-delta and resident-serving smokes green"
+echo "ci matrix passed: lint, PSC_OBS on/off, TSan, ASan+UBSan (and its x50 budget/cancellation repeat), Debug lock-rank checks, clang stages (or skipped), --threads equivalence, deadline degradation, exact-enumeration refusal, query-scoped telemetry, incremental-delta and resident-serving smokes green"
