@@ -49,88 +49,29 @@ Result<bool> WitnessSatisfiesSources(
 
 namespace {
 
-/// Canonical-freeze pass: try every allowable combination's frozen tableau
-/// as a concrete witness. Sound for acceptance only.
-Result<std::optional<Database>> TryCanonicalFreeze(
-    const SourceCollection& collection,
-    const GeneralConsistencyChecker::Options& options,
-    ConsistencyReport* report, bool* hit_limits) {
-  TemplateBuilder builder(&collection);
-  std::optional<Database> witness;
-  Status deferred_error;
-  PSC_ASSIGN_OR_RETURN(
-      const bool completed,
-      builder.ForEachAllowableCombination([&](const Combination& combination) {
-        if (report->combinations_tried >=
-            GeneralConsistencyChecker::kMaxFreezeCombinations) {
-          *hit_limits = true;
-          return false;
-        }
-        // One budget node per combination; on a trip the caller reads the
-        // reason off the shared budget and degrades to kUnknown.
-        if (!options.budget.Charge()) {
-          *hit_limits = true;
-          return false;
-        }
-        ++report->combinations_tried;
-        PSC_OBS_COUNTER_INC("consistency.combinations_tried");
-        auto built = builder.BuildTableau(combination);
-        if (!built.ok()) {
-          if (built.status().code() == StatusCode::kUnimplemented) {
-            // A built-in constrains an existential variable; this
-            // combination cannot be frozen faithfully.
-            *hit_limits = true;
-            return true;
-          }
-          deferred_error = built.status();
-          return false;
-        }
-        if (!built->has_value()) return true;  // rep(𝒯^U) = ∅
-
-        // Two candidates: merged freezing reuses constants already forced
-        // by other sources (needed under exact catalogs), fresh freezing
-        // keeps existential witnesses distinct. Acceptance is verified, so
-        // trying both is sound.
-        Database candidates[2] = {FreezeTableauWithGroundMerge(**built),
-                                  FreezeTableau(**built)};
-        const size_t tries = candidates[0] == candidates[1] ? 1 : 2;
-        for (size_t t = 0; t < tries; ++t) {
-          ++report->candidates_checked;
-          PSC_OBS_COUNTER_INC("consistency.candidates_checked");
-          auto possible = collection.IsPossibleWorld(candidates[t]);
-          if (!possible.ok()) {
-            deferred_error = possible.status();
-            return false;
-          }
-          if (*possible) {
-            witness = std::move(candidates[t]);
-            return false;
-          }
-        }
-        return true;
-      }));
-  if (!completed && !deferred_error.ok()) return deferred_error;
-  return witness;
-}
-
-/// Parallel canonical-freeze pass. Combinations are streamed from the
-/// enumerator in blocks onto the pool; each worker evaluates its block's
-/// combinations exactly as the sequential pass would (build, freeze both
-/// candidates in order, verify). The winning outcome is the one with the
-/// *minimal* global combination index — the very combination the
-/// sequential scan would have stopped at — so the returned witness (or
-/// error) is bit-identical for every worker count. An atomic `bound` set
-/// to the current best index lets workers and the producer skip indices
-/// that can no longer win, which is what cancels the search early once a
-/// witness is found.
+/// Canonical-freeze pass: tries each allowable combination's frozen
+/// tableau as a concrete witness, in enumeration order. Sound for
+/// acceptance only.
+///
+/// Combination 0 (every uᵢ = vᵢ, the first combination the enumerator
+/// yields) runs on the calling thread, and at one thread so does every
+/// other. Only once combination 0 has failed to decide the search does a
+/// multi-threaded pass build its pool and stream the remaining
+/// combinations onto it in blocks; each worker evaluates a combination
+/// exactly as the calling thread would. The winning outcome is the one
+/// with the *minimal* combination index, which is the combination a
+/// one-thread scan stops at, so the returned witness (or error) is
+/// bit-identical for every thread count. An atomic `bound` set to the
+/// current best index lets workers and the producer skip indices that can
+/// no longer win, which is what cancels the search once a witness is
+/// found.
 Result<std::optional<Database>> TryCanonicalFreezeParallel(
     const SourceCollection& collection,
-    const GeneralConsistencyChecker::Options& options, exec::ThreadPool* pool,
+    const GeneralConsistencyChecker::Options& options, size_t threads,
     ConsistencyReport* report, bool* hit_limits) {
   TemplateBuilder builder(&collection);
   constexpr size_t kBlockSize = 16;
   constexpr uint64_t kNoIndex = ~uint64_t{0};
-  const size_t max_outstanding = 4 * pool->size();
 
   struct SearchState {
     sync::Mutex mu{"consistency.search", sync::kRankSearchOutcome};
@@ -163,17 +104,33 @@ Result<std::optional<Database>> TryCanonicalFreezeParallel(
     state.bound.store(index, std::memory_order_release);
   };
 
-  // Evaluates one combination, mirroring the sequential pass body.
+  // Tests one candidate; true when it decides its combination.
+  auto decide = [&](uint64_t index, Database& candidate) {
+    state.candidates_checked.fetch_add(1, std::memory_order_relaxed);
+    PSC_OBS_COUNTER_INC("consistency.candidates_checked");
+    auto possible = collection.IsPossibleWorld(candidate);
+    if (!possible.ok()) {
+      record(index, possible.status(), std::nullopt);
+      return true;
+    }
+    if (!*possible) return false;
+    record(index, Status(), std::move(candidate));
+    return true;
+  };
+
+  // Evaluates one combination: build 𝒯^U, then test its frozen candidates.
   auto evaluate = [&](uint64_t index, const Combination& combination) {
     if (index >= state.bound.load(std::memory_order_acquire)) return;
-    // The producer charges the budget per enqueued combination; workers
-    // only observe the trip so already-queued blocks drain quickly.
+    // The producer charges the budget per combination; workers only
+    // observe the trip so already-queued blocks drain quickly.
     if (options.budget.reason() != limits::StopReason::kNone) return;
     state.combinations_tried.fetch_add(1, std::memory_order_relaxed);
     PSC_OBS_COUNTER_INC("consistency.combinations_tried");
     auto built = builder.BuildTableau(combination);
     if (!built.ok()) {
       if (built.status().code() == StatusCode::kUnimplemented) {
+        // A built-in constrains an existential variable; this
+        // combination cannot be frozen faithfully.
         state.hit_limits.store(true, std::memory_order_relaxed);
         return;
       }
@@ -181,33 +138,29 @@ Result<std::optional<Database>> TryCanonicalFreezeParallel(
       return;
     }
     if (!built->has_value()) return;  // rep(𝒯^U) = ∅
-    Database candidates[2] = {FreezeTableauWithGroundMerge(**built),
-                              FreezeTableau(**built)};
-    const size_t tries = candidates[0] == candidates[1] ? 1 : 2;
-    for (size_t t = 0; t < tries; ++t) {
-      state.candidates_checked.fetch_add(1, std::memory_order_relaxed);
-      PSC_OBS_COUNTER_INC("consistency.candidates_checked");
-      auto possible = collection.IsPossibleWorld(candidates[t]);
-      if (!possible.ok()) {
-        record(index, possible.status(), std::nullopt);
-        return;
-      }
-      if (*possible) {
-        record(index, Status(), std::move(candidates[t]));
-        return;
-      }
-    }
+    // Two candidates: merged freezing reuses constants already forced by
+    // other sources (needed under exact catalogs), fresh freezing keeps
+    // existential witnesses distinct. Acceptance is verified, so trying
+    // both is sound. The fresh one is built only once the merged one is
+    // rejected, and tested only when it differs.
+    Database merged = FreezeTableauWithGroundMerge(**built);
+    if (decide(index, merged)) return;
+    Database fresh = FreezeTableau(**built);
+    if (fresh != merged) decide(index, fresh);
   };
 
   using Block = std::vector<std::pair<uint64_t, Combination>>;
   Block block;
-  block.reserve(kBlockSize);
   // Captured once: every shipped block reinstalls the producer's scope
   // and parents its spans under the enclosing consistency.check span.
   const obs::TraceContext trace_context = obs::CaptureTraceContext();
+  // Built on the first shipped block. Declared after everything its tasks
+  // reference, so it joins its workers before those are destroyed.
+  std::optional<exec::ThreadPool> pool;
   auto flush = [&] {
     if (block.empty()) return;
     {
+      const size_t max_outstanding = 4 * pool->size();
       sync::MutexLock lock(&state.blocks_mu);
       while (state.outstanding_blocks >= max_outstanding) {
         state.blocks_cv.Wait(state.blocks_mu);
@@ -246,16 +199,27 @@ Result<std::optional<Database>> TryCanonicalFreezeParallel(
           state.hit_limits.store(true, std::memory_order_relaxed);
           return false;
         }
+        // One budget node per combination; on a trip the caller reads the
+        // reason off the shared budget and degrades to kUnknown.
         if (!options.budget.Charge()) {
           state.hit_limits.store(true, std::memory_order_relaxed);
           return false;
         }
-        block.emplace_back(next_index++, combination);  // copy: reused ref
+        const uint64_t index = next_index++;
+        if (threads == 1 || index == 0) {
+          evaluate(index, combination);
+          return next_index < state.bound.load(std::memory_order_acquire);
+        }
+        if (!pool.has_value()) {
+          pool.emplace(threads);
+          block.reserve(kBlockSize);
+        }
+        block.emplace_back(index, combination);  // copy: reused ref
         if (block.size() >= kBlockSize) flush();
         return true;
       });
-  flush();
-  {
+  if (pool.has_value()) {
+    flush();
     // All blocks reference this frame; drain them before returning.
     sync::MutexLock lock(&state.blocks_mu);
     while (state.outstanding_blocks != 0) state.blocks_cv.Wait(state.blocks_mu);
@@ -311,23 +275,15 @@ Result<ConsistencyReport> GeneralConsistencyChecker::Check(
   }
 
   // Strategy 2: canonical freezing of Theorem 4.1 templates. With more
-  // than one resolved worker the combination search runs on a
+  // than one resolved worker the combinations after the first run on a
   // work-stealing pool; the outcome is deterministic (minimal-index
-  // witness), so every thread count returns the same report.
+  // witness), so every thread count returns the same verdict and witness.
   bool hit_limits = false;
-  std::optional<Database> witness;
-  const size_t threads = exec::ResolveThreadCount(options_.threads);
-  if (threads > 1) {
-    exec::ThreadPool pool(threads);
-    PSC_ASSIGN_OR_RETURN(witness,
-                         TryCanonicalFreezeParallel(collection, options_,
-                                                    &pool, &report,
-                                                    &hit_limits));
-  } else {
-    PSC_ASSIGN_OR_RETURN(
-        witness, TryCanonicalFreeze(collection, options_, &report,
-                                    &hit_limits));
-  }
+  PSC_ASSIGN_OR_RETURN(
+      std::optional<Database> witness,
+      TryCanonicalFreezeParallel(collection, options_,
+                                 exec::ResolveThreadCount(options_.threads),
+                                 &report, &hit_limits));
   if (witness.has_value()) {
     report.verdict = ConsistencyVerdict::kConsistent;
     report.witness = std::move(witness);

@@ -33,7 +33,10 @@ struct ConsistencyReport {
   std::string method = "none";
   /// Why the verdict is kUnknown, when it is.
   std::string unknown_reason;
-  /// Allowable combinations U examined by the template strategies.
+  /// Allowable combinations U examined by the template strategies. Above
+  /// one thread it also counts combinations evaluated speculatively past
+  /// the deciding one, so it can exceed the one-thread count, except when
+  /// combination 0 decides: that one runs before any fan-out.
   uint64_t combinations_tried = 0;
   /// Candidate databases tested against poss(S).
   uint64_t candidates_checked = 0;
@@ -89,12 +92,13 @@ class GeneralConsistencyChecker {
   struct Options {
     bool enable_exhaustive = true;
     /// Worker threads for the canonical-freeze search. 0 (the default)
-    /// resolves via PSC_THREADS / hardware_concurrency(); 1 forces the
-    /// sequential path (byte-identical to the historical single-threaded
-    /// behaviour). The verdict and witness are deterministic for every
-    /// thread count: the parallel search returns the outcome of the
-    /// minimal combination index, which is exactly the combination the
-    /// sequential scan stops at.
+    /// resolves via PSC_THREADS / hardware_concurrency(); 1 evaluates
+    /// every combination on the calling thread. Above one thread,
+    /// combination 0 still runs on the calling thread, and a pool is built
+    /// only when it fails to decide the search. The verdict and witness
+    /// are deterministic for every thread count: the search returns the
+    /// outcome of the minimal combination index, which is exactly the
+    /// combination a one-thread scan stops at.
     size_t threads = 0;
     /// Cooperative deadline / node budget shared by every strategy: one
     /// node per allowable combination, count-vector node or brute-force

@@ -56,8 +56,16 @@ Database FreezeTableau(const Tableau& tableau, size_t fresh_offset = 0);
 
 /// \brief Freezes after a *ground-merge* pass: while some atom with
 /// variables unifies with a ground atom of the same tableau, adopt that
-/// unifier (first match), grounding its variables; remaining variables get
-/// fresh constants.
+/// unifier, grounding its variables; remaining variables get fresh
+/// constants.
+///
+/// Merge order (the contract; the result depends on it): each step takes
+/// the first non-ground atom, in tableau order, that unifies with a ground
+/// atom, merges it onto the first such ground atom in tableau order, and
+/// applies the unifier to the whole tableau before the next step. The
+/// fixpoint indexes ground atoms by predicate and atoms by variable, so a
+/// step costs about the atoms sharing the merged atom's variables, not
+/// the tableau.
 ///
 /// Heuristic: merging can be necessary when another source's completeness
 /// claim forbids invented constants (an exact station catalog, say), while

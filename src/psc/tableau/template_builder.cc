@@ -1,6 +1,7 @@
 #include "psc/tableau/template_builder.h"
 
 #include "psc/obs/metrics.h"
+#include "psc/obs/trace.h"
 #include "psc/relational/builtin.h"
 #include "psc/util/combinatorics.h"
 #include "psc/util/string_util.h"
@@ -71,6 +72,7 @@ Result<std::optional<Tableau>> TemplateBuilder::BuildTableau(
         StrCat("combination has ", combination.size(), " subsets, expected ",
                collection_->size()));
   }
+  PSC_OBS_SPAN("tableau.build");
   PSC_OBS_COUNTER_INC("tableau.templates_built");
   Tableau tableau;
   for (size_t i = 0; i < collection_->size(); ++i) {
@@ -122,7 +124,7 @@ Result<std::optional<Tableau>> TemplateBuilder::BuildTableau(
 }
 
 Result<std::optional<DatabaseTemplate>> TemplateBuilder::Build(
-    const Combination& combination, size_t max_copies) const {
+    const Combination& combination) const {
   PSC_ASSIGN_OR_RETURN(std::optional<Tableau> tableau,
                        BuildTableau(combination));
   if (!tableau.has_value()) return std::optional<DatabaseTemplate>();
@@ -143,11 +145,11 @@ Result<std::optional<DatabaseTemplate>> TemplateBuilder::Build(
                  "of Section 4 is defined for pure conjunctive views"));
     }
     const int64_t m_i = c_i.DivFloor(static_cast<int64_t>(u_i.size()));
-    if (m_i + 1 > static_cast<int64_t>(max_copies)) {
+    if (m_i + 1 > static_cast<int64_t>(kMaxCompletenessCopies)) {
       return Status::ResourceExhausted(
           StrCat("completeness constraint for source '", source.name(),
                  "' needs ", m_i + 1, " body copies, above the limit of ",
-                 max_copies));
+                 kMaxCompletenessCopies));
     }
 
     Constraint constraint;

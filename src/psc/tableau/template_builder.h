@@ -38,6 +38,12 @@ using Combination = std::vector<Relation>;
 /// paper's construction (Section 4) is stated for pure conjunctive views.
 class TemplateBuilder {
  public:
+  /// Body copies one completeness constraint may hold. A cap of m needs
+  /// m+1 copies of the view body and (m+1)·m pairing substitutions θ_{p,r},
+  /// so the constraint grows quadratically in m = ⌊|uᵢ|/cᵢ⌋; past this
+  /// bound (about 65,000 substitutions) Build refuses instead.
+  static constexpr size_t kMaxCompletenessCopies = 256;
+
   /// `collection` must outlive the builder.
   explicit TemplateBuilder(const SourceCollection* collection);
 
@@ -46,9 +52,9 @@ class TemplateBuilder {
   ///
   /// Errors: combination size/content invalid; |uᵢ| below the soundness
   /// threshold; non-ground built-ins; a completeness cap needing more than
-  /// `max_copies` body copies.
+  /// `kMaxCompletenessCopies` body copies (ResourceExhausted).
   Result<std::optional<DatabaseTemplate>> Build(
-      const Combination& combination, size_t max_copies = 256) const;
+      const Combination& combination) const;
 
   /// \brief Builds only the tableau T^U(S) (no cardinality constraints).
   ///

@@ -149,34 +149,58 @@ SourceCollection MakeRandomProjectionCollection(Rng* rng) {
   return std::move(collection).ValueOrDie();
 }
 
+/// Checks `collection` at threads 2, 4 and 8 against threads 1.
+void ExpectFreezeSearchMatchesSequential(const SourceCollection& collection,
+                                         const std::string& label) {
+  GeneralConsistencyChecker::Options options;
+  options.enable_exhaustive = false;  // isolate the freeze search
+  options.threads = 1;
+  auto sequential = GeneralConsistencyChecker(options).Check(collection);
+  ASSERT_TRUE(sequential.ok()) << sequential.status().ToString();
+
+  for (const size_t threads : {2, 4, 8}) {
+    options.threads = threads;
+    auto parallel = GeneralConsistencyChecker(options).Check(collection);
+    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+    EXPECT_EQ(parallel->verdict, sequential->verdict)
+        << label << " threads " << threads;
+    EXPECT_EQ(parallel->method, sequential->method);
+    ASSERT_EQ(parallel->witness.has_value(),
+              sequential->witness.has_value());
+    if (sequential->witness.has_value()) {
+      // The parallel search accepts the *minimal-index* witness — the
+      // very database the sequential scan stops at.
+      EXPECT_EQ(*parallel->witness, *sequential->witness)
+          << label << " threads " << threads;
+    }
+    // Every index up to the winner is evaluated at any thread count; a
+    // pool can only add speculative work past it. Combination 0 runs
+    // before any fan-out, so a search it decides does no extra work.
+    EXPECT_GE(parallel->combinations_tried, sequential->combinations_tried)
+        << label << " threads " << threads;
+    EXPECT_GE(parallel->candidates_checked, sequential->candidates_checked);
+    if (sequential->combinations_tried == 1) {
+      EXPECT_EQ(parallel->combinations_tried, 1u)
+          << label << " threads " << threads;
+      EXPECT_EQ(parallel->candidates_checked, sequential->candidates_checked);
+    }
+  }
+}
+
 TEST(ConsistencyDeterminismTest, FreezeSearchMatchesSequentialAcrossPools) {
   for (uint64_t seed = 1; seed <= 25; ++seed) {
     Rng rng(seed);
-    const SourceCollection collection = MakeRandomProjectionCollection(&rng);
-
-    GeneralConsistencyChecker::Options options;
-    options.enable_exhaustive = false;  // isolate the freeze search
-    options.threads = 1;
-    auto sequential = GeneralConsistencyChecker(options).Check(collection);
-    ASSERT_TRUE(sequential.ok()) << sequential.status().ToString();
-
-    for (const size_t threads : {2, 4, 8}) {
-      options.threads = threads;
-      auto parallel = GeneralConsistencyChecker(options).Check(collection);
-      ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-      EXPECT_EQ(parallel->verdict, sequential->verdict)
-          << "seed " << seed << " threads " << threads;
-      EXPECT_EQ(parallel->method, sequential->method);
-      ASSERT_EQ(parallel->witness.has_value(),
-                sequential->witness.has_value());
-      if (sequential->witness.has_value()) {
-        // The parallel search accepts the *minimal-index* witness — the
-        // very database the sequential scan stops at.
-        EXPECT_EQ(*parallel->witness, *sequential->witness)
-            << "seed " << seed << " threads " << threads;
-      }
-      EXPECT_GE(parallel->combinations_tried, uint64_t{0});
-    }
+    ExpectFreezeSearchMatchesSequential(MakeRandomProjectionCollection(&rng),
+                                        "seed " + std::to_string(seed));
+  }
+  // GHCN federations: join views, built-ins and an exact catalog, so the
+  // witness is the ground-merge candidate.
+  for (const auto& [stations, sources] :
+       {std::pair{6, 2}, std::pair{8, 3}, std::pair{10, 3},
+        std::pair{12, 4}}) {
+    ExpectFreezeSearchMatchesSequential(
+        testing::MakeGhcnFederation(stations, sources, /*seed=*/1),
+        "GHCN " + std::to_string(stations) + " stations");
   }
 }
 

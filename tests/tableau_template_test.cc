@@ -54,6 +54,26 @@ TEST(TemplateBuilderTest, ZeroCompletenessSkipsConstraint) {
   EXPECT_TRUE((*built)->constraints().empty());
 }
 
+TEST(TemplateBuilderTest, CompletenessCapPastTheCopyLimitIsResourceExhausted) {
+  // One designated fact and c = 1/255: m = 255, so 256 body copies, the
+  // limit, and 256·255 pairing substitutions.
+  auto at_limit =
+      MakeUnaryCollection({MakeUnarySource("S", {0}, "1/255", "1")});
+  auto built = TemplateBuilder(&at_limit).Build({Relation{U(0)}});
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  ASSERT_TRUE(built->has_value());
+  EXPECT_EQ((*built)->constraints()[0].pattern.size(),
+            TemplateBuilder::kMaxCompletenessCopies);
+  EXPECT_EQ((*built)->constraints()[0].options.size(), 256u * 255u);
+
+  // c = 1/256: m = 256 needs 257 copies, one past the limit.
+  auto past_limit =
+      MakeUnaryCollection({MakeUnarySource("S", {0}, "1/256", "1")});
+  built = TemplateBuilder(&past_limit).Build({Relation{U(0)}});
+  ASSERT_FALSE(built.ok());
+  EXPECT_EQ(built.status().code(), StatusCode::kResourceExhausted);
+}
+
 TEST(TemplateBuilderTest, RepMatchesDirectSemanticsOnIdentity) {
   // For U = {0}: rep(𝒯^U) = worlds containing R(0) with |D| ≤ 2
   // (m = ⌊1/(1/2)⌋ = 2).

@@ -10,6 +10,7 @@
 #include "psc/source/source_collection.h"
 #include "psc/source/source_descriptor.h"
 #include "psc/util/result.h"
+#include "psc/workload/ghcn.h"
 
 namespace psc::testing {
 
@@ -63,6 +64,36 @@ inline ConjunctiveQuery Q(const std::string& text) {
   auto query = ParseQuery(text);
   EXPECT_TRUE(query.ok()) << query.status().ToString();
   return std::move(query).ValueOrDie();
+}
+
+/// \brief A GHCN federation of the oneshot_federation benchmark's shape:
+/// the exact station catalog S0 plus `sources` country temperature sources
+/// S1… (Canada, US, Mexico in turn; coverage 0.75, error rate 0.1) over
+/// 1990–1991. Its views are joins with a built-in, so checking it runs the
+/// canonical-freeze search, whose ground-merge candidate the catalog needs.
+inline SourceCollection MakeGhcnFederation(int64_t stations, int64_t sources,
+                                           uint64_t seed) {
+  GhcnConfig config;
+  config.num_stations = stations;
+  config.start_year = 1990;
+  config.end_year = 1991;
+  GhcnGenerator generator(config, seed);
+  const GhcnWorld world = generator.GenerateTruth();
+  std::vector<SourceDescriptor> descriptors;
+  auto catalog = generator.MakeCatalogSource(world, "S0");
+  EXPECT_TRUE(catalog.ok()) << catalog.status().ToString();
+  descriptors.push_back(std::move(catalog).ValueOrDie());
+  const char* const kCountries[] = {"Canada", "US", "Mexico"};
+  for (int64_t i = 0; i < sources; ++i) {
+    auto source = generator.MakeCountrySource(
+        world, "S" + std::to_string(i + 1), kCountries[i % 3],
+        /*after_year=*/1900, /*coverage=*/0.75, /*error_rate=*/0.1);
+    EXPECT_TRUE(source.ok()) << source.status().ToString();
+    descriptors.push_back(std::move(source).ValueOrDie());
+  }
+  auto collection = SourceCollection::Create(std::move(descriptors));
+  EXPECT_TRUE(collection.ok()) << collection.status().ToString();
+  return std::move(collection).ValueOrDie();
 }
 
 }  // namespace psc::testing

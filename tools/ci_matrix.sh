@@ -157,6 +157,31 @@ run_smoke() {
 }
 run_smoke "psc check (projection views)" \
   "${smoke_build}/tools/psc" check "${smoke_input}"
+# Join views with built-ins and an exact catalog: the witness is the
+# ground-merge candidate of combination 0, which runs inline.
+run_smoke "psc check (climatology)" \
+  "${smoke_build}/tools/psc" check data/climatology.psc
+# Combination 0 fails here (B's exact R2 forbids a second fact) and
+# combination 1 is the witness, so --threads 4 runs combination 0 inline
+# and then fans out onto the pool.
+fanout_input="$(mktemp)"
+trap 'rm -f "${smoke_input}" "${fanout_input}"' EXIT
+cat > "${fanout_input}" <<'EOF'
+source A {
+  view: V(x) <- R2(x, y)
+  completeness: 0
+  soundness: 1/2
+  facts: V("a"), V("b")
+}
+source B {
+  view: W(x, y) <- R2(x, y)
+  completeness: 1
+  soundness: 1
+  facts: W("a", 1)
+}
+EOF
+run_smoke "psc check (freeze fan-out)" \
+  "${smoke_build}/tools/psc" check "${fanout_input}"
 run_smoke "psc confidences (example 5.1)" \
   "${smoke_build}/tools/psc" confidences data/example51.psc
 run_smoke "psc audit (conflicted)" \
@@ -170,7 +195,7 @@ run_smoke "psc answer --method mc (example 5.1)" \
 # its metrics record must carry the eval.* counters.
 echo "=== bench_query_eval smoke ==="
 bench_metrics="$(mktemp)"
-trap 'rm -f "${smoke_input}" "${bench_metrics}"' EXIT
+trap 'rm -f "${smoke_input}" "${fanout_input}" "${bench_metrics}"' EXIT
 PSC_BENCH_METRICS_OUT="${bench_metrics}" \
   "${smoke_build}/bench/bench_query_eval" --smoke
 python3 tools/check_metrics_schema.py \
@@ -186,7 +211,7 @@ python3 tools/check_metrics_schema.py \
 # dirty-scoped consistency skips.
 echo "=== bench_incremental smoke ==="
 delta_metrics="$(mktemp)"
-trap 'rm -f "${smoke_input}" "${bench_metrics}" "${delta_metrics}"' EXIT
+trap 'rm -f "${smoke_input}" "${fanout_input}" "${bench_metrics}" "${delta_metrics}"' EXIT
 PSC_BENCH_METRICS_OUT="${delta_metrics}" \
   "${smoke_build}/bench/bench_incremental" --smoke
 python3 tools/check_metrics_schema.py \
@@ -203,7 +228,7 @@ python3 tools/check_metrics_schema.py \
 # per-verb request counters and cross-session batch dedup.
 echo "=== bench_serving smoke ==="
 serving_metrics="$(mktemp)"
-trap 'rm -f "${smoke_input}" "${bench_metrics}" "${delta_metrics}" "${serving_metrics}"' EXIT
+trap 'rm -f "${smoke_input}" "${fanout_input}" "${bench_metrics}" "${delta_metrics}" "${serving_metrics}"' EXIT
 PSC_BENCH_METRICS_OUT="${serving_metrics}" \
   "${smoke_build}/bench/bench_serving" --smoke
 python3 tools/check_metrics_schema.py \
@@ -219,7 +244,7 @@ python3 tools/check_metrics_schema.py \
 # exit 0 on the shutdown verb.
 echo "=== pscd end-to-end serving smoke ==="
 serve_dir="$(mktemp -d)"
-trap 'rm -f "${smoke_input}" "${bench_metrics}" "${delta_metrics}" "${serving_metrics}"; rm -rf "${serve_dir}"' EXIT
+trap 'rm -f "${smoke_input}" "${fanout_input}" "${bench_metrics}" "${delta_metrics}" "${serving_metrics}"; rm -rf "${serve_dir}"' EXIT
 serve_sock="${serve_dir}/pscd.sock"
 "${smoke_build}/tools/pscd" --unix "${serve_sock}" \
   --load data/example51.psc > "${serve_dir}/pscd.log" 2>&1 &
@@ -283,7 +308,7 @@ echo "pscd served racing clients and drained cleanly (exit 0)"
 # thread-count independent.
 echo "=== --apply-delta streaming smoke ==="
 delta_script="$(mktemp)"
-trap 'rm -f "${smoke_input}" "${bench_metrics}" "${delta_metrics}" "${serving_metrics}" "${delta_script}"; rm -rf "${serve_dir}"' EXIT
+trap 'rm -f "${smoke_input}" "${fanout_input}" "${bench_metrics}" "${delta_metrics}" "${serving_metrics}" "${delta_script}"; rm -rf "${serve_dir}"' EXIT
 cat > "${delta_script}" <<'EOF'
 + S1("c")
 --
@@ -300,7 +325,7 @@ run_smoke "psc check --apply-delta (example 5.1)" \
 echo "=== --deadline-ms graceful-degradation smoke ==="
 deadline_input="$(mktemp)"
 deadline_metrics="$(mktemp)"
-trap 'rm -f "${smoke_input}" "${bench_metrics}" "${delta_metrics}" "${serving_metrics}" "${deadline_input}" "${deadline_metrics}"; rm -rf "${serve_dir}"' EXIT
+trap 'rm -f "${smoke_input}" "${fanout_input}" "${bench_metrics}" "${delta_metrics}" "${serving_metrics}" "${deadline_input}" "${deadline_metrics}"; rm -rf "${serve_dir}"' EXIT
 {
   printf 'source Blocker {\n  view: V0(x) <- R(x), M(x)\n'
   printf '  completeness: 1\n  soundness: 0\n}\n'
@@ -327,7 +352,7 @@ python3 tools/check_metrics_schema.py \
 # error before the first world, well within the 2 s timeout.
 echo "=== exact-enumeration up-front refusal smoke ==="
 refusal_input="$(mktemp)"
-trap 'rm -f "${smoke_input}" "${bench_metrics}" "${delta_metrics}" "${serving_metrics}" "${deadline_input}" "${deadline_metrics}" "${refusal_input}"; rm -rf "${serve_dir}"' EXIT
+trap 'rm -f "${smoke_input}" "${fanout_input}" "${bench_metrics}" "${delta_metrics}" "${serving_metrics}" "${deadline_input}" "${deadline_metrics}" "${refusal_input}"; rm -rf "${serve_dir}"' EXIT
 printf 'source S {\n  view: V(x) <- R(x)\n  completeness: 0\n  soundness: 0\n  facts: (0)\n}\n' \
   > "${refusal_input}"
 if refusal="$(timeout 2 "${smoke_build}/tools/psc" answer "${refusal_input}" \
@@ -344,7 +369,7 @@ fi
 echo "=== query-scoped telemetry smoke ==="
 telemetry_trace="$(mktemp)"
 telemetry_metrics="$(mktemp)"
-trap 'rm -f "${smoke_input}" "${bench_metrics}" "${delta_metrics}" "${serving_metrics}" "${deadline_input}" "${deadline_metrics}" "${refusal_input}" "${telemetry_trace}" "${telemetry_metrics}"; rm -rf "${serve_dir}"' EXIT
+trap 'rm -f "${smoke_input}" "${fanout_input}" "${bench_metrics}" "${delta_metrics}" "${serving_metrics}" "${deadline_input}" "${deadline_metrics}" "${refusal_input}" "${telemetry_trace}" "${telemetry_metrics}"; rm -rf "${serve_dir}"' EXIT
 "${smoke_build}/tools/psc" answer data/example51.psc "Ans(x) <- R(x)" \
   --method mc --samples 20000 --threads 4 --quiet \
   --trace-out "${telemetry_trace}" --metrics-out "${telemetry_metrics}"
