@@ -259,10 +259,9 @@ Result<ConsistencyReport> GeneralConsistencyChecker::Check(
       report.method = "identity-counter";
       report.verdict = identity->consistent ? ConsistencyVerdict::kConsistent
                                             : ConsistencyVerdict::kInconsistent;
-      report.witness = identity->witness;
+      report.witness = std::move(identity->witness);
       if (report.witness.has_value()) {
-        PSC_OBS_GAUGE_SET("consistency.witness_facts",
-                          report.witness->AllFacts().size());
+        PSC_OBS_GAUGE_SET("consistency.witness_facts", report.witness->size());
       }
       return report;
     }
@@ -288,8 +287,7 @@ Result<ConsistencyReport> GeneralConsistencyChecker::Check(
     report.verdict = ConsistencyVerdict::kConsistent;
     report.witness = std::move(witness);
     report.method = "canonical-freeze";
-    PSC_OBS_GAUGE_SET("consistency.witness_facts",
-                      report.witness->AllFacts().size());
+    PSC_OBS_GAUGE_SET("consistency.witness_facts", report.witness->size());
     return report;
   }
 
@@ -341,7 +339,7 @@ Result<ConsistencyReport> GeneralConsistencyChecker::Check(
         report.witness = std::move(found);
         report.method = "exhaustive";
         PSC_OBS_GAUGE_SET("consistency.witness_facts",
-                          report.witness->AllFacts().size());
+                          report.witness->size());
         return report;
       }
       if (domain_complete) {

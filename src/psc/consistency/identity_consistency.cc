@@ -25,7 +25,8 @@ Result<IdentityConsistencyReport> CheckIdentityConsistency(
     return report;
   }
   report.consistent = true;
-  // Materialize a witness: the lexicographically first members per group.
+  // Materialize a witness: the first members of each group, in universe
+  // (first-seen) order.
   Database witness;
   const auto& groups = instance.groups();
   for (size_t g = 0; g < groups.size(); ++g) {

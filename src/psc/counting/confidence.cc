@@ -47,11 +47,9 @@ Result<ConfidenceTable> ComputeBaseFactConfidences(
   table.world_count = outcome.world_count;
   table.entries.reserve(instance.universe().size());
   for (size_t idx = 0; idx < instance.universe().size(); ++idx) {
-    const Tuple& tuple = instance.universe()[idx];
-    PSC_ASSIGN_OR_RETURN(const size_t group, instance.GroupIndexOf(tuple));
     TupleConfidence entry;
-    entry.tuple = tuple;
-    entry.numerator = outcome.worlds_containing[group];
+    entry.tuple = instance.universe()[idx];
+    entry.numerator = outcome.worlds_containing[instance.GroupIndexAt(idx)];
     entry.confidence =
         BigInt::RatioToDouble(entry.numerator, table.world_count);
     table.entries.push_back(std::move(entry));

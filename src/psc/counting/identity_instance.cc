@@ -1,6 +1,9 @@
 #include "psc/counting/identity_instance.h"
 
-#include <set>
+#include <algorithm>
+#include <compare>
+#include <numeric>
+#include <utility>
 
 #include "psc/relational/database.h"
 #include "psc/util/string_util.h"
@@ -29,35 +32,53 @@ Result<std::string> CommonIdentityRelation(const SourceCollection& collection) {
   return relation;
 }
 
+/// InvalidArgument naming the first tuple whose arity is not `arity`.
+Status CheckArity(const std::vector<Tuple>& universe, size_t arity) {
+  for (const Tuple& tuple : universe) {
+    if (tuple.size() != arity) {
+      return Status::InvalidArgument(
+          StrCat("universe tuple ", TupleToString(tuple), " has arity ",
+                 tuple.size(), ", expected ", arity));
+    }
+  }
+  return Status::OK();
+}
+
+/// The least rank r ≥ `from` whose tuple `universe[sorted[r]]` is not
+/// below `tuple`, or `sorted.size()`. Probes `from` + 0, 1, 2, 4, … and
+/// binary-searches the last gap, so walking an extension of k tuples up a
+/// sorted universe of N costs O(k·log(N/k)) comparisons.
+size_t LowerBoundFrom(const std::vector<Tuple>& universe,
+                      const std::vector<size_t>& sorted, size_t from,
+                      const Tuple& tuple) {
+  size_t lo = from;
+  size_t hi = from;
+  size_t step = 1;
+  while (hi < sorted.size() && universe[sorted[hi]] < tuple) {
+    lo = hi + 1;
+    hi = from + step;
+    step *= 2;
+  }
+  hi = std::min(hi, sorted.size());
+  const auto below = [&](size_t index) { return universe[index] < tuple; };
+  return static_cast<size_t>(
+      std::partition_point(sorted.begin() + static_cast<ptrdiff_t>(lo),
+                           sorted.begin() + static_cast<ptrdiff_t>(hi),
+                           below) -
+      sorted.begin());
+}
+
 }  // namespace
 
-Result<IdentityInstance> IdentityInstance::CreateWithUniverse(
-    const SourceCollection& collection, std::vector<Tuple> universe) {
+Result<IdentityInstance> IdentityInstance::Begin(
+    const SourceCollection& collection) {
   PSC_ASSIGN_OR_RETURN(const std::string relation,
                        CommonIdentityRelation(collection));
   IdentityInstance instance;
   instance.relation_ = relation;
   PSC_ASSIGN_OR_RETURN(instance.arity_,
                        collection.schema().Arity(relation));
-
-  // Deduplicate the universe while preserving first-seen order.
-  std::set<Tuple> seen;
-  for (Tuple& tuple : universe) {
-    if (tuple.size() != instance.arity_) {
-      return Status::InvalidArgument(
-          StrCat("universe tuple ", TupleToString(tuple), " has arity ",
-                 tuple.size(), ", expected ", instance.arity_));
-    }
-    if (seen.insert(tuple).second) {
-      instance.universe_.push_back(std::move(tuple));
-    }
-  }
-
-  // Signatures.
-  std::map<Tuple, uint64_t> signature_of;
-  for (const Tuple& tuple : instance.universe_) signature_of[tuple] = 0;
-  for (size_t i = 0; i < collection.size(); ++i) {
-    const SourceDescriptor& source = collection.source(i);
+  for (const SourceDescriptor& source : collection.sources()) {
     SourceConstraint constraint;
     constraint.name = source.name();
     constraint.extension_size =
@@ -66,33 +87,80 @@ Result<IdentityInstance> IdentityInstance::CreateWithUniverse(
     constraint.completeness = source.completeness_bound();
     constraint.soundness = source.soundness_bound();
     instance.constraints_.push_back(std::move(constraint));
+  }
+  return instance;
+}
+
+void IdentityInstance::BuildGroups(const std::vector<uint64_t>& signatures) {
+  // Groups in increasing signature order; members keep universe order.
+  std::vector<uint64_t> distinct = signatures;
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                 distinct.end());
+  groups_.resize(distinct.size());
+  for (size_t g = 0; g < distinct.size(); ++g) {
+    groups_[g].signature = distinct[g];
+  }
+  group_of_.resize(universe_.size());
+  for (size_t index = 0; index < universe_.size(); ++index) {
+    const size_t g = static_cast<size_t>(
+        std::lower_bound(distinct.begin(), distinct.end(), signatures[index]) -
+        distinct.begin());
+    group_of_[index] = g;
+    groups_[g].members.push_back(index);
+  }
+  for (Group& group : groups_) {
+    group.size = static_cast<int64_t>(group.members.size());
+  }
+}
+
+Result<IdentityInstance> IdentityInstance::CreateWithUniverse(
+    const SourceCollection& collection, std::vector<Tuple> universe) {
+  PSC_ASSIGN_OR_RETURN(IdentityInstance instance, Begin(collection));
+  PSC_RETURN_NOT_OK(CheckArity(universe, instance.arity_));
+
+  // A stable sort of positions by tuple puts each tuple's first occurrence
+  // first among its repeats; only that one is kept.
+  std::vector<size_t> order(universe.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return universe[a] < universe[b];
+  });
+  constexpr size_t kRepeat = ~size_t{0};
+  std::vector<size_t> position(universe.size(), kRepeat);
+  for (size_t rank = 0; rank < order.size(); ++rank) {
+    if (rank == 0 || universe[order[rank]] != universe[order[rank - 1]]) {
+      position[order[rank]] = 0;
+    }
+  }
+  for (size_t i = 0; i < universe.size(); ++i) {
+    if (position[i] == kRepeat) continue;
+    position[i] = instance.universe_.size();
+    instance.universe_.push_back(std::move(universe[i]));
+  }
+  for (const size_t i : order) {
+    if (position[i] != kRepeat) instance.sorted_.push_back(position[i]);
+  }
+
+  // Signatures: walk each sorted extension up the sorted universe.
+  const std::vector<Tuple>& tuples = instance.universe_;
+  const std::vector<size_t>& sorted = instance.sorted_;
+  std::vector<uint64_t> signatures(tuples.size(), 0);
+  for (size_t i = 0; i < collection.size(); ++i) {
+    const SourceDescriptor& source = collection.source(i);
+    size_t rank = 0;
     for (const Tuple& tuple : source.extension()) {
-      auto it = signature_of.find(tuple);
-      if (it == signature_of.end()) {
+      rank = LowerBoundFrom(tuples, sorted, rank, tuple);
+      if (rank == sorted.size() || tuples[sorted[rank]] != tuple) {
         return Status::InvalidArgument(
             StrCat("extension tuple ", TupleToString(tuple), " of source '",
                    source.name(), "' missing from the universe"));
       }
-      it->second |= uint64_t{1} << i;
+      signatures[sorted[rank]] |= uint64_t{1} << i;
+      ++rank;
     }
   }
-
-  // Group by signature, in increasing signature order.
-  std::map<uint64_t, Group> group_map;
-  for (size_t idx = 0; idx < instance.universe_.size(); ++idx) {
-    const uint64_t signature = signature_of[instance.universe_[idx]];
-    Group& group = group_map[signature];
-    group.signature = signature;
-    group.members.push_back(idx);
-  }
-  for (auto& [signature, group] : group_map) {
-    group.size = static_cast<int64_t>(group.members.size());
-    const size_t group_index = instance.groups_.size();
-    for (const size_t member : group.members) {
-      instance.group_of_tuple_[instance.universe_[member]] = group_index;
-    }
-    instance.groups_.push_back(std::move(group));
-  }
+  instance.BuildGroups(signatures);
   return instance;
 }
 
@@ -115,23 +183,79 @@ Result<IdentityInstance> IdentityInstance::Create(
 
 Result<IdentityInstance> IdentityInstance::CreateOverExtensions(
     const SourceCollection& collection) {
-  std::vector<Tuple> universe;
-  std::set<Tuple> seen;
-  for (const SourceDescriptor& source : collection.sources()) {
-    for (const Tuple& tuple : source.extension()) {
-      if (seen.insert(tuple).second) universe.push_back(tuple);
+  PSC_ASSIGN_OR_RETURN(IdentityInstance instance, Begin(collection));
+
+  // Merge the sorted extensions: each step takes the least tuple among the
+  // sources' next tuples, ORs in the bit of every source holding it and
+  // advances those sources. Scanning the heads in source order finds the
+  // first source holding it. A fleet has few sources whose extensions
+  // overlap heavily, and there one scan of the heads per distinct tuple
+  // takes fewer comparisons than a heap.
+  struct Head {
+    Relation::const_iterator next;
+    Relation::const_iterator end;
+    size_t source;
+  };
+  struct Merged {
+    const Tuple* tuple;
+    uint64_t signature;
+    size_t first_source;
+  };
+  std::vector<Head> heads;
+  for (size_t i = 0; i < collection.size(); ++i) {
+    const Relation& extension = collection.source(i).extension();
+    if (!extension.empty()) {
+      heads.push_back({extension.begin(), extension.end(), i});
     }
   }
-  return CreateWithUniverse(collection, std::move(universe));
+  std::vector<Merged> merged;
+  while (!heads.empty()) {
+    Merged least{&*heads[0].next, uint64_t{1} << heads[0].source,
+                 heads[0].source};
+    for (size_t h = 1; h < heads.size(); ++h) {
+      const std::strong_ordering order = *heads[h].next <=> *least.tuple;
+      if (order < 0) {
+        least = {&*heads[h].next, uint64_t{1} << heads[h].source,
+                 heads[h].source};
+      } else if (order == 0) {
+        least.signature |= uint64_t{1} << heads[h].source;
+      }
+    }
+    merged.push_back(least);
+    for (Head& head : heads) {
+      if (((least.signature >> head.source) & 1) != 0) ++head.next;
+    }
+    std::erase_if(heads,
+                  [](const Head& head) { return head.next == head.end; });
+  }
+
+  // First-seen order is a stable sort of `merged` (increasing tuples) by
+  // first source: a counting sort, which also yields each universe
+  // position's rank in tuple order.
+  std::vector<size_t> start(collection.size() + 1, 0);
+  for (const Merged& entry : merged) ++start[entry.first_source + 1];
+  std::partial_sum(start.begin(), start.end(), start.begin());
+  instance.universe_.resize(merged.size());
+  instance.sorted_.resize(merged.size());
+  std::vector<uint64_t> signatures(merged.size());
+  for (size_t rank = 0; rank < merged.size(); ++rank) {
+    const size_t index = start[merged[rank].first_source]++;
+    instance.universe_[index] = *merged[rank].tuple;
+    instance.sorted_[rank] = index;
+    signatures[index] = merged[rank].signature;
+  }
+  PSC_RETURN_NOT_OK(CheckArity(instance.universe_, instance.arity_));
+  instance.BuildGroups(signatures);
+  return instance;
 }
 
 Result<size_t> IdentityInstance::GroupIndexOf(const Tuple& tuple) const {
-  auto it = group_of_tuple_.find(tuple);
-  if (it == group_of_tuple_.end()) {
+  const size_t rank = LowerBoundFrom(universe_, sorted_, 0, tuple);
+  if (rank == sorted_.size() || universe_[sorted_[rank]] != tuple) {
     return Status::NotFound(
         StrCat("tuple ", TupleToString(tuple), " not in the fact universe"));
   }
-  return it->second;
+  return group_of_[sorted_[rank]];
 }
 
 bool IdentityInstance::CheckCounts(const std::vector<int64_t>& counts) const {

@@ -2,7 +2,6 @@
 #define PSC_COUNTING_IDENTITY_INSTANCE_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -67,10 +66,16 @@ class IdentityInstance {
   /// Sufficient for deciding consistency: facts outside every extension
   /// can only lower each completeness ratio and never help soundness, so
   /// poss(S) ≠ ∅ iff a witness exists inside ⋃ᵢ vᵢ.
+  ///
+  /// The universe lists v₀ in order, then the tuples v₁ adds, and so on
+  /// (first-seen order). One merge of the sorted extensions yields every
+  /// distinct tuple with its signature and the first source holding it;
+  /// the universe is that list stably sorted by first source.
   static Result<IdentityInstance> CreateOverExtensions(
       const SourceCollection& collection);
 
   /// \brief Compiles over an explicit universe (must cover every vᵢ).
+  /// Repeated tuples keep their first position.
   static Result<IdentityInstance> CreateWithUniverse(
       const SourceCollection& collection, std::vector<Tuple> universe);
 
@@ -94,18 +99,30 @@ class IdentityInstance {
   /// Group index of a universe tuple; NotFound for tuples outside.
   Result<size_t> GroupIndexOf(const Tuple& tuple) const;
 
+  /// Group index of `universe()[index]`.
+  size_t GroupIndexAt(size_t index) const { return group_of_[index]; }
+
   /// \brief Checks a per-group count vector against every source constraint
   /// (the Γ system evaluated on the group abstraction). `counts[g]` is the
   /// number of tuples picked from group g; requires 0 ≤ counts[g] ≤ n_g.
   bool CheckCounts(const std::vector<int64_t>& counts) const;
 
  private:
+  /// The relation, arity and constraints; no universe yet.
+  static Result<IdentityInstance> Begin(const SourceCollection& collection);
+
+  /// Groups the universe by `signatures[index]`, given `sorted_`.
+  void BuildGroups(const std::vector<uint64_t>& signatures);
+
   std::string relation_;
   size_t arity_ = 0;
   std::vector<Tuple> universe_;
   std::vector<Group> groups_;
   std::vector<SourceConstraint> constraints_;
-  std::map<Tuple, size_t> group_of_tuple_;
+  /// group_of_[index]: the group of universe_[index].
+  std::vector<size_t> group_of_;
+  /// Universe positions in increasing tuple order.
+  std::vector<size_t> sorted_;
 };
 
 }  // namespace psc

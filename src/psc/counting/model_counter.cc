@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 
 #include "psc/exec/parallel.h"
@@ -72,6 +73,25 @@ std::vector<Uint128> BinomialRow128(int64_t n) {
   return row;
 }
 
+/// C(n, k) without a row: C(n−k+j, j) = C(n−k+j−1, j−1)·(n−k+j)/j for
+/// j = 1..k, each step exact.
+BigInt Binomial(int64_t n, int64_t k) {
+  k = std::min(k, n - k);
+  BigInt value(1);
+  for (int64_t j = 1; j <= k; ++j) {
+    value.MulU32(static_cast<uint32_t>(n - k + j));
+    value = value.DivExactU32(static_cast<uint32_t>(j));
+  }
+  return value;
+}
+
+/// The number type of a search that needs no weights: products are free
+/// and no binomial row is read.
+struct NoWeight {
+  explicit NoWeight(int /*one*/ = 1) {}
+  NoWeight operator*(const NoWeight&) const { return NoWeight(); }
+};
+
 /// Each group's BigInt binomial row, from the shared table.
 std::vector<const std::vector<BigInt>*> BigIntRows(
     const IdentityInstance& instance, BinomialTable* binomials) {
@@ -84,7 +104,8 @@ std::vector<const std::vector<BigInt>*> BigIntRows(
 
 /// Level-bounded DFS over per-group count vectors (k_0, …, k_{G−1}) in
 /// lexicographic order, with weights ∏ C(n_g, k_g) in `Num` arithmetic
-/// (`unsigned __int128` or `BigInt`).
+/// (`unsigned __int128` or `BigInt`, or `NoWeight` to visit the same
+/// vectors without weights).
 ///
 /// Soundness, partialᵢ + (counts still to choose) ≥ tᵢ, can only be met
 /// while partialᵢ ≥ needᵢ(g) = tᵢ − suffix_max[i][g] at depth g. The level
@@ -103,7 +124,8 @@ std::vector<const std::vector<BigInt>*> BigIntRows(
 template <typename Num>
 class ShapeEnumerator {
  public:
-  /// `rows[g]` holds C(n_g, 0..n_g) and must outlive the enumerator.
+  /// `rows[g]` holds C(n_g, 0..n_g) and must outlive the enumerator;
+  /// `NoWeight` takes no rows.
   ShapeEnumerator(const IdentityInstance& instance,
                   std::vector<const std::vector<Num>*> rows,
                   const std::vector<std::vector<int64_t>>& suffix_max,
@@ -150,7 +172,7 @@ class ShapeEnumerator {
     if (first_count < 0) return Level(0, Num(1), run);
     PSC_CHECK(groups_.size() >= 2 && first_count <= groups_[0].size);
     Choose(0, first_count);
-    return Level(1, (*rows_[0])[static_cast<size_t>(first_count)], run);
+    return Level(1, Weight(0, first_count), run);
   }
 
   /// \brief Calls `visit(counts, weight)` for every feasible shape in
@@ -167,12 +189,11 @@ class ShapeEnumerator {
       return visit(counts_, Num(1));
     }
     const size_t last = groups_.size() - 1;
-    const std::vector<Num>& row = *rows_[last];
     auto run = [&](const std::vector<int64_t>&, const Num& weight, int64_t lo,
                    int64_t hi) {
       for (int64_t k = lo; k <= hi; ++k) {
         counts_[last] = k;
-        if (!visit(counts_, weight * row[static_cast<size_t>(k)])) {
+        if (!visit(counts_, weight * Weight(last, k))) {
           // The run counted its whole sound range; keep only the vectors
           // up to the shape the visitor stopped at.
           visited_ -= static_cast<uint64_t>(groups_[last].size - k);
@@ -206,6 +227,15 @@ class ShapeEnumerator {
     int64_t num;
     int64_t den;
   };
+
+  /// C(n_g, k) from group g's row; nothing for `NoWeight`.
+  decltype(auto) Weight(size_t g, int64_t k) const {
+    if constexpr (std::is_same_v<Num, NoWeight>) {
+      return NoWeight();
+    } else {
+      return (*rows_[g])[static_cast<size_t>(k)];
+    }
+  }
 
   void Reset() {
     counts_.assign(groups_.size(), 0);
@@ -242,10 +272,9 @@ class ShapeEnumerator {
     if (!budget_.Charge()) return budget_.ToStatus();
     const int64_t lo = LeastCount(g);
     if (g + 1 == groups_.size()) return Run(weight, lo, run);
-    const std::vector<Num>& row = *rows_[g];
     for (int64_t k = lo; k <= groups_[g].size; ++k) {
       Choose(g, k);
-      auto deeper = Level(g + 1, weight * row[static_cast<size_t>(k)], run);
+      auto deeper = Level(g + 1, weight * Weight(g, k), run);
       Unchoose(g, k);
       if (!deeper.ok()) return deeper.status();
       if (!*deeper) return false;
@@ -475,18 +504,25 @@ Result<std::vector<WorldShape>> SignatureCounter::FeasibleShapes(
 
 Result<std::optional<WorldShape>> SignatureCounter::FirstFeasibleShape(
     uint64_t* visited, const limits::Budget& budget) {
+  // The same walk as FeasibleShapes', without weights: only the shape
+  // returned is weighed.
   std::optional<WorldShape> first;
-  ShapeEnumerator<BigInt> enumerator(
-      *instance_, BigIntRows(*instance_, binomials_), suffix_max_, budget);
+  ShapeEnumerator<NoWeight> enumerator(*instance_, {}, suffix_max_, budget);
   PSC_RETURN_NOT_OK(
       enumerator
-          .ForEachShape([&](const std::vector<int64_t>& counts, BigInt weight) {
-            first = WorldShape{counts, std::move(weight)};
+          .ForEachShape([&](const std::vector<int64_t>& counts, NoWeight) {
+            first = WorldShape{counts, BigInt(1)};
             return false;
           })
           .status());
   if (visited != nullptr) *visited = enumerator.visited();
   PSC_OBS_COUNTER_ADD("counting.shapes_visited", enumerator.visited());
+  if (first.has_value()) {
+    const auto& groups = instance_->groups();
+    for (size_t g = 0; g < groups.size(); ++g) {
+      first->weight *= Binomial(groups[g].size, first->counts[g]);
+    }
+  }
   return first;
 }
 

@@ -12,22 +12,11 @@ namespace delta {
 
 IncrementalSystem::IncrementalSystem(SourceCollection collection,
                                      QuerySystem::Options options)
-    : collection_(std::move(collection)), options_(std::move(options)) {
-  groups_ = collection_.RelationGroups();
-  for (const auto& group : groups_) {
-    for (const size_t i : group) {
-      for (const Atom& atom : collection_.source(i).view().relational_body()) {
-        relation_to_group_[atom.predicate()] = group;
-      }
-    }
-  }
-}
+    : collection_(std::move(collection)), options_(std::move(options)) {}
 
 IncrementalSystem::IncrementalSystem(IncrementalSystem&& o) noexcept
     : collection_(std::move(o.collection_)),
       options_(std::move(o.options_)),
-      groups_(std::move(o.groups_)),
-      relation_to_group_(std::move(o.relation_to_group_)),
       system_(std::move(o.system_)),
       report_(std::move(o.report_)),
       answers_(std::move(o.answers_)) {}
@@ -37,8 +26,6 @@ IncrementalSystem& IncrementalSystem::operator=(
   if (this == &o) return *this;
   collection_ = std::move(o.collection_);
   options_ = std::move(o.options_);
-  groups_ = std::move(o.groups_);
-  relation_to_group_ = std::move(o.relation_to_group_);
   system_ = std::move(o.system_);
   report_ = std::move(o.report_);
   answers_ = std::move(o.answers_);
@@ -76,17 +63,6 @@ std::vector<size_t> IncrementalSystem::DirtySourcesSince(uint64_t since) const {
     if (collection_.source_generation(i) > since) dirty.push_back(i);
   }
   return dirty;
-}
-
-std::vector<size_t> IncrementalSystem::RelevantSources(
-    const std::set<std::string>& relations) const {
-  std::set<size_t> relevant;
-  for (const std::string& relation : relations) {
-    const auto it = relation_to_group_.find(relation);
-    if (it == relation_to_group_.end()) continue;  // outside sch(S)
-    relevant.insert(it->second.begin(), it->second.end());
-  }
-  return std::vector<size_t>(relevant.begin(), relevant.end());
 }
 
 Result<CollectionDeltaSummary> IncrementalSystem::ApplyDelta(
@@ -205,41 +181,27 @@ Result<QueryAnswer> IncrementalSystem::AnswerExact(
     sync::MutexLock cache_lock(&cache_mutex_);
     const auto it = answers_.find(key);
     if (it != answers_.end()) {
-      // Group-scoped reuse is only sound while the collection is known
-      // consistent at the *current* generation (file comment).
+      // Reuse only the answer of the current generation, while the
+      // collection is known consistent at it (file comment).
       const bool consistent_now =
           report_.valid && report_.generation == now &&
           report_.report.verdict == ConsistencyVerdict::kConsistent;
-      bool untouched = true;
-      for (const size_t i : it->second.relevant_sources) {
-        if (collection_.source_generation(i) > it->second.generation) {
-          untouched = false;
-          break;
-        }
-      }
-      if (consistent_now && untouched) {
+      const bool current = it->second.generation == now;
+      if (consistent_now && current) {
         PSC_OBS_COUNTER_INC("delta.answers.cache_hits");
         QueryAnswer answer = it->second.answer;
         answer.from_cache = true;
         return answer;
       }
-      if (!untouched) answers_.erase(it);  // a relevant source mutated
+      if (!current) answers_.erase(it);  // generations only grow
     }
   }
 
   PSC_ASSIGN_OR_RETURN(const QuerySystem* system, GetOrBuildSystem());
   PSC_ASSIGN_OR_RETURN(QueryAnswer answer, system->AnswerExact(query, domain));
   PSC_OBS_COUNTER_INC("delta.answers.computed");
-  std::set<std::string> relations;
-  for (const Atom& atom : query.relational_body()) {
-    relations.insert(atom.predicate());
-  }
-  CachedAnswer cached;
-  cached.answer = answer;
-  cached.generation = now;
-  cached.relevant_sources = RelevantSources(relations);
   sync::MutexLock cache_lock(&cache_mutex_);
-  answers_[key] = std::move(cached);
+  answers_[key] = CachedAnswer{answer, now};
   return answer;
 }
 

@@ -22,16 +22,12 @@
 ///    `ConsistencyReport::combinations_skipped` and the
 ///    `delta.consistency.combinations_skipped` counter.
 ///
-///  * **Answers.** poss(S) factorizes across *relation groups* — connected
-///    components of the "shares a body relation" graph
-///    (`SourceCollection::RelationGroups`). Worlds restricted to different
-///    groups vary independently, so under the uniform possible-world
-///    semantics the marginal confidence of a query touching only group G
-///    is invariant under deltas confined to other groups, as long as the
-///    collection stays consistent (an inconsistent group empties poss(S)
-///    globally). A cached answer is therefore reused iff the current
-///    verdict is kConsistent and no source in the query's relevant groups
-///    has mutated since the answer was computed.
+///  * **Answers.** A cached answer is reused iff the collection's
+///    generation still equals the one it was computed at and the current
+///    verdict is kConsistent. A delta confined to another relation group
+///    leaves a query's confidences unchanged, but not `worlds_used`:
+///    |poss(S)| is the product of one count per group, so any effective
+///    delta can change it, and every hit must equal a recomputation.
 ///
 /// Thread safety: queries and consistency checks take a shared lock,
 /// `ApplyDelta` an exclusive one, so readers stream against a stable
@@ -43,7 +39,6 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -82,9 +77,9 @@ class IncrementalSystem {
   /// cached.
   Result<ConsistencyReport> CheckConsistency() const;
 
-  /// \brief Exact query answering with group-scoped caching (see file
-  /// comment). Cache hits return `QueryAnswer::from_cache = true` and are
-  /// bit-identical to recomputation. NOTE: reuse requires a current
+  /// \brief Exact query answering with a per-generation answer cache (see
+  /// file comment). Cache hits return `QueryAnswer::from_cache = true` and
+  /// are bit-identical to recomputation. NOTE: reuse requires a current
   /// kConsistent report — in streaming loops call `CheckConsistency()`
   /// after each delta (the CLI's `--apply-delta` mode does), or every
   /// answer recomputes.
@@ -115,8 +110,6 @@ class IncrementalSystem {
     QueryAnswer answer;
     /// collection.generation() at compute time.
     uint64_t generation = 0;
-    /// Sources (full relevant groups) the answer depends on.
-    std::vector<size_t> relevant_sources;
   };
 
   /// Builds (once per mutation) the QuerySystem over the current
@@ -128,17 +121,9 @@ class IncrementalSystem {
   std::vector<size_t> DirtySourcesSince(uint64_t since) const
       PSC_REQUIRES_SHARED(data_mutex_);
 
-  /// Sources in every relation group that mentions one of `relations`.
-  std::vector<size_t> RelevantSources(
-      const std::set<std::string>& relations) const;
-
   mutable sync::SharedMutex data_mutex_{"delta.data", sync::kRankDeltaData};
   SourceCollection collection_ PSC_GUARDED_BY(data_mutex_);
   QuerySystem::Options options_;
-  /// Source index → relation-group id, fixed at Create (views are
-  /// immutable; only extensions drift).
-  std::vector<std::vector<size_t>> groups_;
-  std::map<std::string, std::vector<size_t>> relation_to_group_;
 
   mutable sync::Mutex cache_mutex_{"delta.cache", sync::kRankDeltaCache};
   mutable std::optional<QuerySystem> system_ PSC_GUARDED_BY(cache_mutex_);

@@ -14,17 +14,6 @@ const std::string& Value::AsString() const {
   return std::get<std::string>(data_);
 }
 
-int Value::Compare(const Value& o) const {
-  if (is_int() != o.is_int()) return is_int() ? -1 : 1;  // ints before strings
-  if (is_int()) {
-    const int64_t a = AsInt();
-    const int64_t b = o.AsInt();
-    return (a > b) - (a < b);
-  }
-  const int cmp = AsString().compare(o.AsString());
-  return (cmp > 0) - (cmp < 0);
-}
-
 std::string Value::ToString() const {
   if (is_int()) return std::to_string(AsInt());
   // Escape so the result re-parses through the lexer's string rules.

@@ -1,6 +1,7 @@
 #ifndef PSC_RELATIONAL_VALUE_H_
 #define PSC_RELATIONAL_VALUE_H_
 
+#include <compare>
 #include <cstdint>
 #include <string>
 #include <variant>
@@ -34,16 +35,25 @@ class Value {
 
   /// \brief Three-way comparison under the total order (all integers sort
   /// before all strings): negative, zero or positive as *this <, == or > o.
-  /// Every relational operator below is a single Compare call.
-  int Compare(const Value& o) const;
+  /// Inline, because every tuple comparison calls it once per element.
+  int Compare(const Value& o) const {
+    if (data_.index() != o.data_.index()) return is_int() ? -1 : 1;
+    if (const int64_t* a = std::get_if<int64_t>(&data_)) {
+      const int64_t b = *std::get_if<int64_t>(&o.data_);
+      return (*a > b) - (*a < b);
+    }
+    const int cmp = std::get_if<std::string>(&data_)->compare(
+        *std::get_if<std::string>(&o.data_));
+    return (cmp > 0) - (cmp < 0);
+  }
 
   bool operator==(const Value& o) const { return data_ == o.data_; }
-  bool operator!=(const Value& o) const { return data_ != o.data_; }
-  /// Total order: all integers sort before all strings.
-  bool operator<(const Value& o) const { return Compare(o) < 0; }
-  bool operator<=(const Value& o) const { return Compare(o) <= 0; }
-  bool operator>(const Value& o) const { return Compare(o) > 0; }
-  bool operator>=(const Value& o) const { return Compare(o) >= 0; }
+  /// Total order: all integers sort before all strings. The relational
+  /// operators, and `std::vector<Value>`'s lexicographic order, are each
+  /// one Compare call per element.
+  std::strong_ordering operator<=>(const Value& o) const {
+    return Compare(o) <=> 0;
+  }
 
   /// \brief Display form: integers bare, strings double-quoted
   /// (round-trips through the parser).

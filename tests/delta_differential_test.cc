@@ -103,57 +103,76 @@ CollectionDelta RandomCollectionDelta(Rng& rng,
   return delta;
 }
 
+/// Mirrors of R, or mirrors of R beside mirrors of P: two relation groups,
+/// where a delta confined to one group still changes |poss(S)|.
+SourceCollection MirrorCollection(bool two_groups) {
+  std::vector<SourceDescriptor> sources;
+  const int count = two_groups ? 4 : 2;
+  for (int i = 0; i < count; ++i) {
+    const char* relation = i < 2 ? "R" : "P";
+    Relation extension = {{Value(int64_t{i % 2})},
+                          {Value(int64_t{i % 2 + 1})}};
+    auto source = SourceDescriptor::Create(
+        StrCat("S", i), Q(StrCat("V", i, "(x) <- ", relation, "(x)")),
+        std::move(extension), Rational(1, 8), Rational(1, 2));
+    EXPECT_TRUE(source.ok()) << source.status().ToString();
+    sources.push_back(*std::move(source));
+  }
+  auto collection = SourceCollection::Create(std::move(sources));
+  EXPECT_TRUE(collection.ok()) << collection.status().ToString();
+  return *std::move(collection);
+}
+
 TEST(DeltaDifferentialTest, IncrementalSystemMatchesFreshSystemAcrossThreads) {
-  std::vector<Value> domain;
-  for (int64_t v = 0; v <= 5; ++v) domain.push_back(Value(v));
-  const ConjunctiveQuery query = Q("Ans(x) <- R(x)");
+  for (const bool two_groups : {false, true}) {
+    std::vector<Value> domain;
+    for (int64_t v = 0; v <= 5; ++v) domain.push_back(Value(v));
+    std::vector<ConjunctiveQuery> queries = {Q("Ans(x) <- R(x)")};
+    if (two_groups) queries.push_back(Q("Ans(x) <- P(x)"));
 
-  for (const size_t threads : {size_t{1}, size_t{4}}) {
-    std::vector<SourceDescriptor> sources;
-    for (int i = 0; i < 2; ++i) {
-      Relation extension = {{Value(int64_t{i})}, {Value(int64_t{i + 1})}};
-      auto source = SourceDescriptor::Create(
-          StrCat("S", i), Q(StrCat("V", i, "(x) <- R(x)")),
-          std::move(extension), Rational(1, 8), Rational(1, 2));
-      ASSERT_TRUE(source.ok());
-      sources.push_back(*std::move(source));
-    }
-    auto collection = SourceCollection::Create(std::move(sources));
-    ASSERT_TRUE(collection.ok());
+    for (const size_t threads : {size_t{1}, size_t{4}}) {
+      QuerySystem::Options options;
+      options.threads = threads;
+      auto incremental = delta::IncrementalSystem::Create(
+          MirrorCollection(two_groups), options);
+      ASSERT_TRUE(incremental.ok()) << incremental.status().ToString();
 
-    QuerySystem::Options options;
-    options.threads = threads;
-    auto incremental = delta::IncrementalSystem::Create(*collection, options);
-    ASSERT_TRUE(incremental.ok()) << incremental.status().ToString();
+      Rng rng(5 + threads);
+      for (int step = 0; step < 12; ++step) {
+        SCOPED_TRACE(StrCat("groups ", two_groups ? 2 : 1, " threads ",
+                            threads, " step ", step));
+        auto summary = incremental->ApplyDelta(
+            RandomCollectionDelta(rng, incremental->CollectionSnapshot()));
+        ASSERT_TRUE(summary.ok()) << summary.status().ToString();
 
-    Rng rng(5 + threads);
-    for (int step = 0; step < 12; ++step) {
-      auto summary = incremental->ApplyDelta(
-          RandomCollectionDelta(rng, incremental->CollectionSnapshot()));
-      ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+        // Oracle: a fresh system over a snapshot of the mutated collection.
+        auto fresh =
+            QuerySystem::Create(incremental->CollectionSnapshot(), options);
+        ASSERT_TRUE(fresh.ok());
 
-      // Oracle: a fresh system over a snapshot of the mutated collection.
-      auto fresh =
-          QuerySystem::Create(incremental->CollectionSnapshot(), options);
-      ASSERT_TRUE(fresh.ok());
+        auto live_report = incremental->CheckConsistency();
+        auto fresh_report = fresh->CheckConsistency();
+        ASSERT_TRUE(live_report.ok()) << live_report.status().ToString();
+        ASSERT_TRUE(fresh_report.ok()) << fresh_report.status().ToString();
+        ASSERT_EQ(live_report->verdict, fresh_report->verdict);
+        if (live_report->verdict != ConsistencyVerdict::kConsistent) continue;
 
-      auto live_report = incremental->CheckConsistency();
-      auto fresh_report = fresh->CheckConsistency();
-      ASSERT_TRUE(live_report.ok()) << live_report.status().ToString();
-      ASSERT_TRUE(fresh_report.ok()) << fresh_report.status().ToString();
-      ASSERT_EQ(live_report->verdict, fresh_report->verdict)
-          << "threads " << threads << " step " << step;
-      if (live_report->verdict != ConsistencyVerdict::kConsistent) continue;
-
-      auto live = incremental->AnswerExact(query, domain);
-      auto fresh_answer = fresh->AnswerExact(query, domain);
-      ASSERT_TRUE(live.ok()) << live.status().ToString();
-      ASSERT_TRUE(fresh_answer.ok()) << fresh_answer.status().ToString();
-      EXPECT_EQ(live->certain, fresh_answer->certain);
-      EXPECT_EQ(live->possible, fresh_answer->possible);
-      EXPECT_EQ(live->worlds_used, fresh_answer->worlds_used);
-      EXPECT_EQ(live->confidences.entries(), fresh_answer->confidences.entries())
-          << "threads " << threads << " step " << step;
+        // Each query once per step: a hit after a delta to the other group
+        // must still count the current worlds.
+        for (const ConjunctiveQuery& query : queries) {
+          auto live = incremental->AnswerExact(query, domain);
+          auto fresh_answer = fresh->AnswerExact(query, domain);
+          ASSERT_TRUE(live.ok()) << live.status().ToString();
+          ASSERT_TRUE(fresh_answer.ok()) << fresh_answer.status().ToString();
+          EXPECT_EQ(live->certain, fresh_answer->certain);
+          EXPECT_EQ(live->possible, fresh_answer->possible);
+          EXPECT_EQ(live->worlds_used, fresh_answer->worlds_used)
+              << query.ToString();
+          EXPECT_EQ(live->confidences.entries(),
+                    fresh_answer->confidences.entries())
+              << query.ToString();
+        }
+      }
     }
   }
 }

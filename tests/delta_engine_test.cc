@@ -464,7 +464,7 @@ TEST(IncrementalSystemTest, RejectedDeltaInvalidatesNothing) {
   EXPECT_EQ(report->method, "delta-cache");
 }
 
-TEST(IncrementalSystemTest, AnswerCacheIsGroupScoped) {
+TEST(IncrementalSystemTest, AnswerCacheHitsOnlyAtTheCachedGeneration) {
   // Two independent relation groups: mirrors of R and a mirror of W.
   std::vector<SourceDescriptor> sources;
   sources.push_back(MakeSource("S1", "V1(x) <- R(x)", {T(1), T(2)},
@@ -493,26 +493,69 @@ TEST(IncrementalSystemTest, AnswerCacheIsGroupScoped) {
   EXPECT_TRUE(hit->from_cache);
   EXPECT_EQ(hit->certain, computed->certain);
   EXPECT_EQ(hit->possible, computed->possible);
+  EXPECT_EQ(hit->worlds_used, computed->worlds_used);
 
-  // Mutating the W group leaves the R-group answer warm...
+  // Mutating the W group leaves the R-group confidences alone but not the
+  // world count, so the answer is recomputed...
   CollectionDelta other_group;
   other_group.Insert("S2", T(4));
   ASSERT_TRUE(system->ApplyDelta(other_group).ok());
   auto report = system->CheckConsistency();
   ASSERT_TRUE(report.ok());
   ASSERT_EQ(report->verdict, ConsistencyVerdict::kConsistent);
-  auto still_warm = system->AnswerExact(query, domain);
-  ASSERT_TRUE(still_warm.ok());
-  EXPECT_TRUE(still_warm->from_cache);
-
-  // ...while mutating the R group forces a recomputation.
-  CollectionDelta same_group;
-  same_group.Insert("S1", T(4));
-  ASSERT_TRUE(system->ApplyDelta(same_group).ok());
-  ASSERT_TRUE(system->CheckConsistency().ok());
   auto recomputed = system->AnswerExact(query, domain);
   ASSERT_TRUE(recomputed.ok());
   EXPECT_FALSE(recomputed->from_cache);
+  EXPECT_EQ(recomputed->confidences.entries(),
+            computed->confidences.entries());
+  EXPECT_EQ(system->AnswerCacheSize(), 1u);
+
+  // ...and cached again for its own generation.
+  auto warm = system->AnswerExact(query, domain);
+  ASSERT_TRUE(warm.ok());
+  EXPECT_TRUE(warm->from_cache);
+  EXPECT_EQ(warm->worlds_used, recomputed->worlds_used);
+}
+
+TEST(IncrementalSystemTest, AnswerAfterAnotherGroupsDeltaCountsCurrentWorlds) {
+  // R's group has 6 possible worlds over {1, 2, 3}; P's group has 3 before
+  // the insert and 6 after it, so |poss(S)| goes from 18 to 36.
+  std::vector<SourceDescriptor> sources;
+  sources.push_back(MakeSource("S1", "V1(x) <- R(x)", {T(1), T(2)},
+                               Rational(1, 2), Rational(1, 2)));
+  sources.push_back(MakeSource("S2", "V2(x) <- P(x)", {T(1)}, Rational(1, 2),
+                               Rational(1, 2)));
+  auto collection = SourceCollection::Create(std::move(sources));
+  ASSERT_TRUE(collection.ok());
+  auto system = delta::IncrementalSystem::Create(*collection);
+  ASSERT_TRUE(system.ok()) << system.status().ToString();
+  ASSERT_TRUE(system->CheckConsistency().ok());
+
+  const ConjunctiveQuery query = Q("Ans(x) <- R(x)");
+  const std::vector<Value> domain = {Value(int64_t{1}), Value(int64_t{2}),
+                                     Value(int64_t{3})};
+  auto before = system->AnswerExact(query, domain);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  EXPECT_EQ(before->worlds_used, 18u);
+
+  CollectionDelta delta;
+  delta.Insert("S2", T(2));
+  ASSERT_TRUE(system->ApplyDelta(delta).ok());
+  auto report = system->CheckConsistency();
+  ASSERT_TRUE(report.ok());
+  ASSERT_EQ(report->verdict, ConsistencyVerdict::kConsistent);
+  auto after = system->AnswerExact(query, domain);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+
+  auto cold = QuerySystem::Create(system->CollectionSnapshot());
+  ASSERT_TRUE(cold.ok());
+  auto fresh = cold->AnswerExact(query, domain);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_EQ(fresh->worlds_used, 36u);
+  EXPECT_EQ(after->worlds_used, fresh->worlds_used);
+  EXPECT_EQ(after->confidences.entries(), fresh->confidences.entries());
+  EXPECT_EQ(after->certain, fresh->certain);
+  EXPECT_EQ(after->possible, fresh->possible);
 }
 
 TEST(WitnessRevalidationTest, OutOfRangeIndexIsAnError) {

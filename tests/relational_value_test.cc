@@ -1,9 +1,13 @@
 #include "psc/relational/value.h"
 
+#include <algorithm>
+#include <compare>
 #include <set>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "psc/relational/term.h"
+#include "psc/util/random.h"
 
 namespace psc {
 namespace {
@@ -76,6 +80,63 @@ TEST(TupleTest, LexicographicComparison) {
   Tuple c = {Value(int64_t{1})};
   EXPECT_LT(a, b);
   EXPECT_LT(c, a);  // prefix sorts first
+}
+
+/// Lexicographic order spelled out with Value::Compare: the first unequal
+/// element decides, and a proper prefix sorts first.
+int CompareTuples(const Tuple& a, const Tuple& b) {
+  for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
+    if (const int cmp = a[i].Compare(b[i]); cmp != 0) return cmp;
+  }
+  return (a.size() > b.size()) - (a.size() < b.size());
+}
+
+TEST(TupleTest, OperatorsAgreeWithExplicitCompare) {
+  // Few distinct constants, so equal elements, shared prefixes and equal
+  // tuples are common; both kinds, so ints-before-strings is exercised.
+  const std::vector<Value> constants = {Value(int64_t{-3}), Value(int64_t{0}),
+                                        Value(int64_t{7}), Value(""),
+                                        Value("a"), Value("ab")};
+  Rng rng(20261018);
+  std::vector<Tuple> tuples;
+  for (int i = 0; i < 400; ++i) {
+    Tuple tuple(static_cast<size_t>(rng.UniformInt(0, 3)));
+    for (Value& value : tuple) {
+      value = constants[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(constants.size()) - 1))];
+    }
+    tuples.push_back(tuple);
+    // Every proper prefix of some tuples, so prefixes meet their extensions.
+    if (i % 8 == 0) {
+      for (size_t n = 0; n < tuple.size(); ++n) {
+        tuples.emplace_back(tuple.begin(), tuple.begin() + n);
+      }
+    }
+  }
+
+  for (const Tuple& a : tuples) {
+    for (const Tuple& b : tuples) {
+      const int expected = CompareTuples(a, b);
+      ASSERT_EQ(a < b, expected < 0) << TupleToString(a) << TupleToString(b);
+      ASSERT_EQ(a == b, expected == 0) << TupleToString(a) << TupleToString(b);
+      ASSERT_EQ(a <=> b, expected <=> 0)
+          << TupleToString(a) << TupleToString(b);
+      if (!a.empty() && !b.empty()) {
+        ASSERT_EQ(a[0] < b[0], a[0].Compare(b[0]) < 0);
+        ASSERT_EQ(a[0] == b[0], a[0].Compare(b[0]) == 0);
+        ASSERT_EQ(a[0] <=> b[0], a[0].Compare(b[0]) <=> 0);
+      }
+    }
+  }
+
+  std::vector<Tuple> by_operator = tuples;
+  std::vector<Tuple> by_compare = tuples;
+  std::sort(by_operator.begin(), by_operator.end());
+  std::sort(by_compare.begin(), by_compare.end(),
+            [](const Tuple& a, const Tuple& b) {
+              return CompareTuples(a, b) < 0;
+            });
+  EXPECT_EQ(by_operator, by_compare);
 }
 
 TEST(TermTest, VariableAndConstant) {
