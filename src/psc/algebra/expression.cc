@@ -264,8 +264,8 @@ Result<Lineage> AlgebraExpr::EvalLineage(
   Lineage lineage;
   lineage.universe_size_ = universe.size();
   lineage.arity_ = output_arity_;
-  PSC_ASSIGN_OR_RETURN(const LineageRelation answers,
-                       LineageOf(base, &lineage));
+  PSC_ASSIGN_OR_RETURN(const LineageView view, LineageOf(base, &lineage));
+  const LineageRelation& answers = view.get();
   lineage.tuples_.reserve(answers.size());
   for (const auto& [tuple, derivations] : answers) {
     lineage.tuples_.push_back(tuple);
@@ -274,7 +274,18 @@ Result<Lineage> AlgebraExpr::EvalLineage(
   return lineage;
 }
 
-Result<AlgebraExpr::LineageRelation> AlgebraExpr::LineageOf(
+bool AlgebraExpr::IsIdentityProjection() const {
+  if (kind_ != Kind::kProject ||
+      columns_.size() != left_->OutputArity()) {
+    return false;
+  }
+  for (size_t i = 0; i < columns_.size(); ++i) {
+    if (columns_[i] != i) return false;
+  }
+  return true;
+}
+
+Result<AlgebraExpr::LineageView> AlgebraExpr::LineageOf(
     const std::map<std::string, LineageRelation>& base,
     Lineage* lineage) const {
   // Mirrors EvalInWorld operator by operator. A tuple on which an operator
@@ -373,44 +384,57 @@ Result<AlgebraExpr::LineageRelation> AlgebraExpr::LineageOf(
     return output;
   };
   const auto children = [&](const AlgebraExpr& node)
-      -> Result<std::pair<LineageRelation, LineageRelation>> {
-    PSC_ASSIGN_OR_RETURN(LineageRelation lhs,
+      -> Result<std::pair<LineageView, LineageView>> {
+    PSC_ASSIGN_OR_RETURN(LineageView lhs,
                          node.left_->LineageOf(base, lineage));
-    PSC_ASSIGN_OR_RETURN(LineageRelation rhs,
+    PSC_ASSIGN_OR_RETURN(LineageView rhs,
                          node.right_->LineageOf(base, lineage));
     return std::make_pair(std::move(lhs), std::move(rhs));
   };
 
-  LineageRelation output;
+  LineageView output;
   switch (kind_) {
     case Kind::kBase: {
       const auto it = base.find(base_name_);
-      if (it == base.end()) return LineageRelation();
-      return it->second;
+      if (it != base.end()) output.borrowed = &it->second;
+      return output;
     }
     case Kind::kProject: {
-      PSC_ASSIGN_OR_RETURN(const LineageRelation child,
+      PSC_ASSIGN_OR_RETURN(LineageView child,
                            left_->LineageOf(base, lineage));
-      output = project(child, left_->OutputArity(), columns_);
+      const size_t arity = left_->OutputArity();
+      // π onto every column in order passes its child on, unless a tuple
+      // of another arity would fail the projection.
+      const bool identity =
+          IsIdentityProjection() &&
+          std::all_of(child.get().begin(), child.get().end(),
+                      [&](const auto& entry) {
+                        return entry.first.size() == arity;
+                      });
+      if (identity) {
+        output = std::move(child);
+      } else {
+        output.owned = project(child.get(), arity, columns_);
+      }
       break;
     }
     case Kind::kSelect: {
       if (left_->kind_ == Kind::kProduct) {
         PSC_ASSIGN_OR_RETURN(const auto sides, children(*left_));
-        output = product(sides.first, left_->left_->OutputArity(),
-                         sides.second, left_->right_->OutputArity(),
-                         conditions_);
+        output.owned = product(sides.first.get(), left_->left_->OutputArity(),
+                               sides.second.get(),
+                               left_->right_->OutputArity(), conditions_);
         break;
       }
-      PSC_ASSIGN_OR_RETURN(const LineageRelation child,
+      PSC_ASSIGN_OR_RETURN(const LineageView child,
                            left_->LineageOf(base, lineage));
-      output = select(child, conditions_);
+      output.owned = select(child.get(), conditions_);
       break;
     }
     case Kind::kProduct: {
       PSC_ASSIGN_OR_RETURN(const auto sides, children(*this));
-      output = product(sides.first, left_->OutputArity(), sides.second,
-                       right_->OutputArity(), {});
+      output.owned = product(sides.first.get(), left_->OutputArity(),
+                             sides.second.get(), right_->OutputArity(), {});
       break;
     }
     case Kind::kJoin: {
@@ -418,25 +442,25 @@ Result<AlgebraExpr::LineageRelation> AlgebraExpr::LineageOf(
       PSC_ASSIGN_OR_RETURN(const auto sides, children(*this));
       const size_t left_arity = left_->OutputArity();
       const size_t right_arity = right_->OutputArity();
-      output = project(product(sides.first, left_arity, sides.second,
-                               right_arity,
-                               EquiJoinConditions(left_arity, join_columns_)),
-                       left_arity + right_arity,
-                       EquiJoinColumns(left_arity, right_arity, join_columns_));
+      output.owned = project(
+          product(sides.first.get(), left_arity, sides.second.get(),
+                  right_arity, EquiJoinConditions(left_arity, join_columns_)),
+          left_arity + right_arity,
+          EquiJoinColumns(left_arity, right_arity, join_columns_));
       break;
     }
     case Kind::kUnion: {
       PSC_ASSIGN_OR_RETURN(auto sides, children(*this));
-      output = std::move(sides.first);
-      for (const auto& [tuple, derivations] : sides.second) {
-        Derivations& pooled = output[tuple];
+      output.owned = std::move(sides.first).Take();
+      for (const auto& [tuple, derivations] : sides.second.get()) {
+        Derivations& pooled = output.owned[tuple];
         pooled.insert(pooled.end(), derivations.begin(), derivations.end());
         Canonicalize(&pooled);
       }
       break;
     }
   }
-  PSC_OBS_COUNTER_ADD("algebra.tuples_produced", output.size());
+  PSC_OBS_COUNTER_ADD("algebra.tuples_produced", output.get().size());
   return output;
 }
 

@@ -5,6 +5,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "psc/algebra/operators.h"
@@ -166,9 +167,25 @@ class AlgebraExpr : public std::enable_shared_from_this<AlgebraExpr> {
   /// EvalLineage's recursion: Q over U as tuple → derivations, adding the
   /// plan errors met to the build's lineage in EvalInWorld order.
   using LineageRelation = std::map<Tuple, std::vector<Lineage::Derivation>>;
-  Result<LineageRelation> LineageOf(
+  /// A relation LineageOf built, or one it passes on uncopied: a base
+  /// relation, or its child's under an identity projection.
+  struct LineageView {
+    LineageRelation owned;
+    const LineageRelation* borrowed = nullptr;
+
+    const LineageRelation& get() const {
+      return borrowed != nullptr ? *borrowed : owned;
+    }
+    /// The relation to modify: moved out when owned, copied when borrowed.
+    LineageRelation Take() && {
+      return borrowed != nullptr ? *borrowed : std::move(owned);
+    }
+  };
+  Result<LineageView> LineageOf(
       const std::map<std::string, LineageRelation>& base,
       Lineage* lineage) const;
+  /// Whether this projection keeps every column in order.
+  bool IsIdentityProjection() const;
 
   Kind kind_ = Kind::kBase;
   size_t output_arity_ = 0;

@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "psc/consistency/identity_consistency.h"
 #include "psc/consistency/possible_worlds.h"
+#include "psc/exec/parallel.h"
 #include "psc/exec/thread_pool.h"
 #include "psc/obs/metrics.h"
-#include "psc/obs/scope.h"
 #include "psc/obs/trace.h"
 #include "psc/source/measures.h"
 #include "psc/sync/mutex.h"
@@ -56,15 +55,15 @@ namespace {
 /// Combination 0 (every uᵢ = vᵢ, the first combination the enumerator
 /// yields) runs on the calling thread, and at one thread so does every
 /// other. Only once combination 0 has failed to decide the search does a
-/// multi-threaded pass build its pool and stream the remaining
-/// combinations onto it in blocks; each worker evaluates a combination
-/// exactly as the calling thread would. The winning outcome is the one
-/// with the *minimal* combination index, which is the combination a
-/// one-thread scan stops at, so the returned witness (or error) is
-/// bit-identical for every thread count. An atomic `bound` set to the
-/// current best index lets workers and the producer skip indices that can
-/// no longer win, which is what cancels the search once a witness is
-/// found.
+/// multi-threaded pass take the shared pool and run the remaining
+/// combinations on it in batches of blocks; each runner evaluates a
+/// combination exactly as the calling thread would. The winning outcome
+/// is the one with the *minimal* combination index, which is the
+/// combination a one-thread scan stops at, so the returned witness (or
+/// error) is bit-identical for every thread count. An atomic `bound` set
+/// to the current best index lets the runners and the enumeration skip
+/// indices that can no longer win, which is what cancels the search once
+/// a witness is found.
 Result<std::optional<Database>> TryCanonicalFreezeParallel(
     const SourceCollection& collection,
     const GeneralConsistencyChecker::Options& options, size_t threads,
@@ -84,10 +83,6 @@ Result<std::optional<Database>> TryCanonicalFreezeParallel(
     std::atomic<uint64_t> combinations_tried{0};
     std::atomic<uint64_t> candidates_checked{0};
     std::atomic<bool> hit_limits{false};
-    /// Outstanding-block throttle and completion latch.
-    sync::Mutex blocks_mu{"consistency.blocks", sync::kRankSearchBlocks};
-    sync::CondVar blocks_cv;
-    size_t outstanding_blocks PSC_GUARDED_BY(blocks_mu) = 0;
   };
   SearchState state;
   state.best_index = kNoIndex;
@@ -121,8 +116,8 @@ Result<std::optional<Database>> TryCanonicalFreezeParallel(
   // Evaluates one combination: build 𝒯^U, then test its frozen candidates.
   auto evaluate = [&](uint64_t index, const Combination& combination) {
     if (index >= state.bound.load(std::memory_order_acquire)) return;
-    // The producer charges the budget per combination; workers only
-    // observe the trip so already-queued blocks drain quickly.
+    // The enumeration charges the budget per combination; a batch only
+    // observes the trip, so its remaining blocks finish quickly.
     if (options.budget.reason() != limits::StopReason::kNone) return;
     state.combinations_tried.fetch_add(1, std::memory_order_relaxed);
     PSC_OBS_COUNTER_INC("consistency.combinations_tried");
@@ -149,44 +144,20 @@ Result<std::optional<Database>> TryCanonicalFreezeParallel(
     if (fresh != merged) decide(index, fresh);
   };
 
+  // Past combination 0, a multi-threaded pass collects combinations in
+  // blocks and runs a batch of blocks at a time on the shared pool; the
+  // calling thread runs blocks too, so it never waits on queued work.
   using Block = std::vector<std::pair<uint64_t, Combination>>;
-  Block block;
-  // Captured once: every shipped block reinstalls the producer's scope
-  // and parents its spans under the enclosing consistency.check span.
-  const obs::TraceContext trace_context = obs::CaptureTraceContext();
-  // Built on the first shipped block. Declared after everything its tasks
-  // reference, so it joins its workers before those are destroyed.
-  std::optional<exec::ThreadPool> pool;
-  auto flush = [&] {
-    if (block.empty()) return;
-    {
-      const size_t max_outstanding = 4 * pool->size();
-      sync::MutexLock lock(&state.blocks_mu);
-      while (state.outstanding_blocks >= max_outstanding) {
-        state.blocks_cv.Wait(state.blocks_mu);
-      }
-      ++state.outstanding_blocks;
-    }
-    auto shipped = std::make_shared<Block>(std::move(block));
-    block.clear();
-    block.reserve(kBlockSize);
-    pool->Submit([&state, &evaluate, &trace_context, shipped] {
-      const obs::TraceContextGuard trace_guard(trace_context);
-      {
-        PSC_OBS_SPAN("consistency.freeze_block");
-        for (const auto& [index, combination] : *shipped) {
-          evaluate(index, combination);
-        }
-      }
-      {
-        sync::MutexLock lock(&state.blocks_mu);
-        --state.outstanding_blocks;
-        // Notify while holding the lock: once the producer observes the
-        // decrement it may destroy `state`, so the cv must not be
-        // touched after the unlock.
-        state.blocks_cv.NotifyAll();
+  exec::ThreadPool* pool = nullptr;  // taken at the first fan-out
+  std::vector<Block> batch;
+  const auto run_batch = [&] {
+    exec::ParallelFor(pool, batch.size(), [&](size_t b) {
+      PSC_OBS_SPAN("consistency.freeze_block");
+      for (const auto& [index, combination] : batch[b]) {
+        evaluate(index, combination);
       }
     });
+    batch.clear();
   };
 
   uint64_t next_index = 0;
@@ -210,20 +181,20 @@ Result<std::optional<Database>> TryCanonicalFreezeParallel(
           evaluate(index, combination);
           return next_index < state.bound.load(std::memory_order_acquire);
         }
-        if (!pool.has_value()) {
-          pool.emplace(threads);
-          block.reserve(kBlockSize);
+        if (pool == nullptr) pool = exec::SharedPool(threads);
+        if (batch.empty() || batch.back().size() >= kBlockSize) {
+          batch.emplace_back();
+          batch.back().reserve(kBlockSize);
         }
-        block.emplace_back(index, combination);  // copy: reused ref
-        if (block.size() >= kBlockSize) flush();
+        batch.back().emplace_back(index, combination);  // copy: reused ref
+        if (batch.size() >= 4 * pool->size() &&
+            batch.back().size() >= kBlockSize) {
+          run_batch();
+          return next_index < state.bound.load(std::memory_order_acquire);
+        }
         return true;
       });
-  if (pool.has_value()) {
-    flush();
-    // All blocks reference this frame; drain them before returning.
-    sync::MutexLock lock(&state.blocks_mu);
-    while (state.outstanding_blocks != 0) state.blocks_cv.Wait(state.blocks_mu);
-  }
+  if (!batch.empty()) run_batch();
   PSC_RETURN_NOT_OK(enumerated.status());
 
   report->combinations_tried =

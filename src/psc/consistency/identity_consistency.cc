@@ -11,7 +11,7 @@ namespace psc {
 Result<IdentityConsistencyReport> CheckIdentityConsistency(
     const SourceCollection& collection, const limits::Budget& budget) {
   PSC_OBS_SPAN("consistency.identity_check");
-  PSC_ASSIGN_OR_RETURN(const IdentityInstance instance,
+  PSC_ASSIGN_OR_RETURN(IdentityInstance instance,
                        IdentityInstance::CreateOverExtensions(collection));
   BinomialTable binomials;
   SignatureCounter counter(&instance, &binomials);
@@ -25,17 +25,15 @@ Result<IdentityConsistencyReport> CheckIdentityConsistency(
     return report;
   }
   report.consistent = true;
-  // Materialize a witness: the first members of each group, in universe
+  // The witness: the first members of each group, in universe
   // (first-seen) order.
-  Database witness;
+  std::vector<size_t> members;
   const auto& groups = instance.groups();
   for (size_t g = 0; g < groups.size(); ++g) {
-    for (int64_t j = 0; j < shape->counts[g]; ++j) {
-      const size_t member = groups[g].members[static_cast<size_t>(j)];
-      witness.AddFact(instance.relation(), instance.universe()[member]);
-    }
+    const auto first = groups[g].members.begin();
+    members.insert(members.end(), first, first + shape->counts[g]);
   }
-  report.witness = std::move(witness);
+  report.witness = std::move(instance).World(members);
   return report;
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <functional>
 #include <map>
-#include <optional>
 #include <utility>
 
 #include "psc/algebra/plan_compiler.h"
@@ -26,10 +25,38 @@ namespace {
 /// confidences in the compositional path.
 constexpr double kCertainEpsilon = 1e-9;
 
-/// Answer-tuple counts over a run of worlds. A tuple is certain when its
-/// count equals the number of worlds and possible when it is above zero.
-/// Counts over disjoint runs of worlds merge by adding, so a
-/// block-parallel run finishes with exactly the sequential result.
+/// The answer over `worlds` worlds from per-tuple world counts, which
+/// `for_each_count(emit)` passes to `emit(tuple, count)` in Relation
+/// order. A tuple is certain when its count equals the number of worlds
+/// and possible when it is above zero.
+template <typename ForEachCount>
+Result<QueryAnswer> AnswerFromCounts(size_t arity, const std::string& method,
+                                     uint64_t worlds,
+                                     const ForEachCount& for_each_count) {
+  if (worlds == 0) {
+    return Status::Inconsistent(
+        "poss(S) is empty: query answers are undefined");
+  }
+  QueryAnswer answer;
+  answer.method = method;
+  answer.worlds_used = worlds;
+  answer.confidences = ProbRelation(arity);
+  Status status;
+  for_each_count([&](const Tuple& tuple, uint64_t count) {
+    if (!status.ok()) return;
+    answer.possible.insert(answer.possible.end(), tuple);
+    if (count == worlds) answer.certain.insert(answer.certain.end(), tuple);
+    status = answer.confidences.Insert(
+        tuple, static_cast<double>(count) / static_cast<double>(worlds));
+  });
+  PSC_RETURN_NOT_OK(status);
+  PSC_OBS_COUNTER_ADD("query.worlds_used", worlds);
+  return answer;
+}
+
+/// Answer-tuple counts over a run of worlds. Counts over disjoint runs of
+/// worlds merge by adding, so a block-parallel run finishes with exactly
+/// the sequential result.
 struct AnswerCounts {
   std::map<Tuple, uint64_t> counts;
   uint64_t worlds = 0;
@@ -40,23 +67,35 @@ struct AnswerCounts {
   }
 
   Result<QueryAnswer> Finish(size_t arity, const std::string& method) const {
-    if (worlds == 0) {
-      return Status::Inconsistent(
-          "poss(S) is empty: query answers are undefined");
-    }
-    QueryAnswer answer;
-    answer.method = method;
-    answer.worlds_used = worlds;
-    answer.confidences = ProbRelation(arity);
-    for (const auto& [tuple, count] : counts) {
-      answer.possible.insert(answer.possible.end(), tuple);
-      if (count == worlds) answer.certain.insert(answer.certain.end(), tuple);
-      PSC_RETURN_NOT_OK(answer.confidences.Insert(
-          tuple, static_cast<double>(count) / static_cast<double>(worlds)));
-    }
-    PSC_OBS_COUNTER_ADD("query.worlds_used", worlds);
-    return answer;
+    return AnswerFromCounts(arity, method, worlds, [&](const auto& emit) {
+      for (const auto& [tuple, count] : counts) emit(tuple, count);
+    });
   }
+};
+
+/// Per-tuple counts over one lineage's tuples (held[a] counts the worlds
+/// holding lineage->tuples()[a]), with the first plan error met.
+struct FlatCounts {
+  explicit FlatCounts(const Lineage* lineage)
+      : lineage(lineage), held(lineage->tuples().size(), 0) {}
+
+  void MergeFrom(const FlatCounts& other) {
+    for (size_t a = 0; a < held.size(); ++a) held[a] += other.held[a];
+    worlds += other.worlds;
+  }
+
+  Result<QueryAnswer> Finish(size_t arity, const std::string& method) const {
+    return AnswerFromCounts(arity, method, worlds, [&](const auto& emit) {
+      for (size_t a = 0; a < held.size(); ++a) {
+        if (held[a] > 0) emit(lineage->tuples()[a], held[a]);
+      }
+    });
+  }
+
+  const Lineage* lineage;
+  std::vector<uint64_t> held;
+  uint64_t worlds = 0;
+  Status error;
 };
 
 /// The fact a world's fact index stands for.
@@ -225,13 +264,9 @@ Result<ConfidenceTable> QuerySystem::BaseConfidences(
   PSC_OBS_SPAN("query.base_confidences");
   PSC_ASSIGN_OR_RETURN(const IdentityInstance instance,
                        IdentityInstance::Create(collection_, domain));
-  const limits::Budget budget = MakeBudget(options_);
-  const size_t threads = exec::ResolveThreadCount(options_.threads);
-  if (threads > 1) {
-    exec::ThreadPool pool(threads);
-    return ComputeBaseFactConfidences(instance, &pool, budget);
-  }
-  return ComputeBaseFactConfidences(instance, nullptr, budget);
+  return ComputeBaseFactConfidences(
+      instance, exec::SharedPool(exec::ResolveThreadCount(options_.threads)),
+      MakeBudget(options_));
 }
 
 Result<QueryAnswer> QuerySystem::AnswerExact(
@@ -276,17 +311,12 @@ Result<QueryAnswer> QuerySystem::AnswerCompositional(
   }
   PSC_ASSIGN_OR_RETURN(const IdentityInstance instance,
                        IdentityInstance::Create(collection_, domain));
-  ConfidenceTable table;
-  const limits::Budget budget = MakeBudget(options_);
-  const size_t threads = exec::ResolveThreadCount(options_.threads);
-  if (threads > 1) {
-    exec::ThreadPool pool(threads);
-    PSC_ASSIGN_OR_RETURN(table,
-                         ComputeBaseFactConfidences(instance, &pool, budget));
-  } else {
-    PSC_ASSIGN_OR_RETURN(table,
-                         ComputeBaseFactConfidences(instance, nullptr, budget));
-  }
+  PSC_ASSIGN_OR_RETURN(
+      const ConfidenceTable table,
+      ComputeBaseFactConfidences(
+          instance,
+          exec::SharedPool(exec::ResolveThreadCount(options_.threads)),
+          MakeBudget(options_)));
   ProbRelation base_relation(instance.arity());
   for (const TupleConfidence& entry : table.entries) {
     PSC_RETURN_NOT_OK(base_relation.Insert(entry.tuple, entry.confidence));
@@ -328,66 +358,115 @@ Result<QueryAnswer> QuerySystem::AnswerMonteCarlo(
 
   // Counter-based streams: block b always draws its (at most)
   // kBlockSamples worlds from Rng(MixSeed(seed, b)), no matter which
-  // worker runs it — the sampled multiset, and hence the estimate, is a
+  // thread runs it — the sampled multiset, and hence the estimate, is a
   // pure function of (seed, samples), identical for every thread count.
   // The block size is fixed (not derived from the worker count) for the
   // same reason.
   constexpr uint64_t kBlockSamples = 64;
-  const uint64_t num_blocks = (samples + kBlockSamples - 1) / kBlockSamples;
-  struct BlockResult {
-    AnswerCounts counts;
-    Status error;
-  };
-  const size_t threads = exec::ResolveThreadCount(options_.threads);
-  std::optional<exec::ThreadPool> pool;
-  if (threads > 1) pool.emplace(threads);
+  const size_t num_blocks =
+      static_cast<size_t>((samples + kBlockSamples - 1) / kBlockSamples);
+  exec::ThreadPool* const pool =
+      exec::SharedPool(exec::ResolveThreadCount(options_.threads));
   const limits::CancelToken cancel_token = budget.token();
-  BlockResult merged = exec::ParallelReduce<BlockResult>(
-      pool.has_value() ? &*pool : nullptr, static_cast<size_t>(num_blocks),
-      BlockResult{},
-      [&](size_t block) {
-        BlockResult result;
-        GroupAnswerer answerer(query.get(), &fact_of,
-                               instance.universe().size());
-        Rng rng(MixSeed(seed, block));
-        std::vector<size_t> members;
-        const uint64_t begin = block * kBlockSamples;
-        const uint64_t end = std::min(samples, begin + kBlockSamples);
-        for (uint64_t i = begin; i < end; ++i) {
-          // On a trip this block answers its samples so far; the merged
-          // partial answer is flagged truncated below.
-          if (!budget.Charge()) break;
-          sampler.Draw(&rng, &members);
-          result.error = answerer.Add(members, &result.counts);
-          if (!result.error.ok()) break;
-        }
-        if (result.error.ok()) result.error = answerer.Flush(&result.counts);
-        return result;
-      },
-      [](BlockResult& acc, BlockResult part) {
-        if (!acc.error.ok()) return;
-        if (!part.error.ok()) {
-          acc.error = std::move(part.error);
-          return;
-        }
-        acc.counts.MergeFrom(part.counts);
-      },
-      budget.active() ? &cancel_token : nullptr);
-  PSC_RETURN_NOT_OK(merged.error);
+  const limits::CancelToken* const cancel =
+      budget.active() ? &cancel_token : nullptr;
+  // Draws block `block`'s worlds in order and hands each to `answer`,
+  // which returns false to end the block. On a trip the block ends with
+  // its samples so far; the merged partial answer is flagged truncated.
+  const auto draw_block = [&](size_t block, const auto& answer) {
+    Rng rng(MixSeed(seed, block));
+    WorldSampler::DrawBuffer buffer;
+    std::vector<size_t> members;
+    const uint64_t begin = block * kBlockSamples;
+    const uint64_t end = std::min(samples, begin + kBlockSamples);
+    for (uint64_t i = begin; i < end; ++i) {
+      if (!budget.Charge()) return;
+      sampler.Draw(&rng, &members, &buffer);
+      if (!answer(members)) return;
+    }
+  };
+  // The first error in sample order wins; counts merge by adding.
+  const auto merge = [](auto& acc, auto part) {
+    if (!acc.error.ok()) return;
+    if (!part.error.ok()) {
+      acc.error = std::move(part.error);
+      return;
+    }
+    acc.MergeFrom(part);
+  };
   // A tripped budget truncates: the samples drawn so far are a valid
   // (smaller) estimate. With zero samples there is nothing to report.
-  if (budget.reason() != limits::StopReason::kNone &&
-      merged.counts.worlds == 0) {
-    return budget.ToStatus();
+  const auto finish = [&](const auto& merged) -> Result<QueryAnswer> {
+    PSC_RETURN_NOT_OK(merged.error);
+    if (budget.reason() != limits::StopReason::kNone &&
+        merged.worlds == 0) {
+      return budget.ToStatus();
+    }
+    PSC_ASSIGN_OR_RETURN(QueryAnswer answer,
+                         merged.Finish(query->OutputArity(), "monte-carlo"));
+    if (budget.reason() != limits::StopReason::kNone) {
+      answer.truncated = true;
+      answer.truncation_reason = budget.ToStatus().message();
+    }
+    return answer;
+  };
+
+  // When twice the smallest world covers every fact a draw can hold, a
+  // GroupAnswerer could never close a group: every block would build the
+  // same lineage. Build it once, over those facts, and count per lineage
+  // tuple in flat arrays.
+  const std::vector<size_t> drawable = sampler.DrawableFacts();
+  if (2 * sampler.min_world_size() >= drawable.size()) {
+    std::vector<uint32_t> lineage_id(instance.universe().size());
+    std::vector<Fact> facts;
+    facts.reserve(drawable.size());
+    for (size_t i = 0; i < drawable.size(); ++i) {
+      lineage_id[drawable[i]] = static_cast<uint32_t>(i);
+      facts.push_back(fact_of(drawable[i]));
+    }
+    PSC_ASSIGN_OR_RETURN(const Lineage lineage, query->EvalLineage(facts));
+    const size_t num_tuples = lineage.tuples().size();
+    const FlatCounts merged = exec::ParallelReduce<FlatCounts>(
+        pool, num_blocks, FlatCounts(&lineage),
+        [&](size_t block) {
+          FlatCounts result(&lineage);
+          FactBitset world(facts.size());
+          draw_block(block, [&](const std::vector<size_t>& members) {
+            for (const size_t id : members) world.Set(lineage_id[id]);
+            result.error = lineage.ErrorIn(world);
+            if (!result.error.ok()) return false;
+            for (size_t a = 0; a < num_tuples; ++a) {
+              if (lineage.Contains(a, world)) ++result.held[a];
+            }
+            ++result.worlds;
+            for (const size_t id : members) world.Reset(lineage_id[id]);
+            return true;
+          });
+          return result;
+        },
+        merge, cancel);
+    return finish(merged);
   }
-  PSC_ASSIGN_OR_RETURN(
-      QueryAnswer answer,
-      merged.counts.Finish(query->OutputArity(), "monte-carlo"));
-  if (budget.reason() != limits::StopReason::kNone) {
-    answer.truncated = true;
-    answer.truncation_reason = budget.ToStatus().message();
-  }
-  return answer;
+
+  // Otherwise each block answers its worlds in groups of their own size.
+  struct BlockCounts : AnswerCounts {
+    Status error;
+  };
+  const BlockCounts merged = exec::ParallelReduce<BlockCounts>(
+      pool, num_blocks, BlockCounts{},
+      [&](size_t block) {
+        BlockCounts result;
+        GroupAnswerer answerer(query.get(), &fact_of,
+                               instance.universe().size());
+        draw_block(block, [&](const std::vector<size_t>& members) {
+          result.error = answerer.Add(members, &result);
+          return result.error.ok();
+        });
+        if (result.error.ok()) result.error = answerer.Flush(&result);
+        return result;
+      },
+      merge, cancel);
+  return finish(merged);
 }
 
 // The CQ overloads install the scope around compilation too, so the

@@ -258,6 +258,35 @@ Result<size_t> IdentityInstance::GroupIndexOf(const Tuple& tuple) const {
   return group_of_[sorted_[rank]];
 }
 
+namespace {
+
+/// IdentityInstance::World over `universe`, whose tuples it moves out
+/// when the vector is mutable and copies when it is const.
+template <typename Universe>
+Database WorldOver(const std::string& relation, Universe& universe,
+                   const std::vector<size_t>& sorted,
+                   const std::vector<size_t>& members) {
+  std::vector<char> in_world(universe.size(), 0);
+  for (const size_t member : members) in_world[member] = 1;
+  Relation tuples;
+  for (const size_t position : sorted) {
+    if (in_world[position] != 0) {
+      tuples.emplace_hint(tuples.end(), std::move(universe[position]));
+    }
+  }
+  return Database::OfRelation(relation, std::move(tuples));
+}
+
+}  // namespace
+
+Database IdentityInstance::World(const std::vector<size_t>& members) const& {
+  return WorldOver(relation_, universe_, sorted_, members);
+}
+
+Database IdentityInstance::World(const std::vector<size_t>& members) && {
+  return WorldOver(relation_, universe_, sorted_, members);
+}
+
 bool IdentityInstance::CheckCounts(const std::vector<int64_t>& counts) const {
   PSC_CHECK_MSG(counts.size() == groups_.size(),
                 "CheckCounts: count vector size mismatch");

@@ -102,6 +102,14 @@ class IdentityInstance {
   /// Group index of `universe()[index]`.
   size_t GroupIndexAt(size_t index) const { return group_of_[index]; }
 
+  /// \brief The world made of the universe facts at `members` (indices,
+  /// no repeats, any order), as a database over the relation. The facts
+  /// go in in tuple order, read off the sorted positions: one set node per
+  /// fact and no search.
+  Database World(const std::vector<size_t>& members) const&;
+  /// As above, moving the tuples out of this instance's universe.
+  Database World(const std::vector<size_t>& members) &&;
+
   /// \brief Checks a per-group count vector against every source constraint
   /// (the Γ system evaluated on the group abstraction). `counts[g]` is the
   /// number of tuples picked from group g; requires 0 ≤ counts[g] ≤ n_g.

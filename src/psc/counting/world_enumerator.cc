@@ -80,11 +80,7 @@ Result<bool> IdentityWorldEnumerator::ForEachWorld(
     const limits::Budget& budget) const {
   return ForEachWorldIds(
       [&](const std::vector<size_t>& members) {
-        Database world;
-        for (const size_t member : members) {
-          world.AddFact(instance_->relation(), instance_->universe()[member]);
-        }
-        return fn(world);
+        return fn(instance_->World(members));
       },
       budget);
 }

@@ -32,13 +32,38 @@ class WorldSampler {
                                      const limits::Budget& budget =
                                          limits::Budget());
 
+  /// Scratch space that a run of draws on one thread reuses.
+  class DrawBuffer {
+   private:
+    friend class WorldSampler;
+    /// One mark per member of the largest group drawn from so far; all
+    /// clear between draws.
+    std::vector<char> marked_;
+    /// Positions in the group that a draw marked.
+    std::vector<size_t> picks_;
+  };
+
   /// \brief Exact-uniform draw from poss(S): replaces `*members` with the
   /// world's facts as indices into the instance's universe.
-  void Draw(Rng* rng, std::vector<size_t>* members) const;
+  ///
+  /// Each group draws from its smaller side: Floyd's algorithm picks the
+  /// k_g members the world keeps, or the n_g − k_g it leaves out when
+  /// those are fewer, so a world holding most of its universe costs about
+  /// one RNG call per fact it lacks.
+  void Draw(Rng* rng, std::vector<size_t>* members,
+            DrawBuffer* buffer) const;
 
   /// The same draw as `Draw` (same RNG use), materialized as a database
   /// over the instance's relation.
   Database Sample(Rng* rng) const;
+
+  /// The facts some feasible shape draws from: every member of each group
+  /// that at least one shape takes a fact of, in group order. Every draw
+  /// lies inside them.
+  std::vector<size_t> DrawableFacts() const;
+  /// The fewest facts a possible world holds: the minimum over the
+  /// feasible shapes of Σ_g k_g.
+  size_t min_world_size() const { return min_world_size_; }
 
   /// |poss(S)| over the instance's universe.
   const BigInt& world_count() const { return total_; }
@@ -47,17 +72,14 @@ class WorldSampler {
  private:
   WorldSampler(const IdentityInstance* instance,
                std::vector<WorldShape> shapes,
-               std::vector<BigInt> cumulative, BigInt total)
-      : instance_(instance),
-        shapes_(std::move(shapes)),
-        cumulative_(std::move(cumulative)),
-        total_(std::move(total)) {}
+               std::vector<BigInt> cumulative, BigInt total);
 
   const IdentityInstance* instance_;
   std::vector<WorldShape> shapes_;
   /// cumulative_[i] = Σ_{j ≤ i} shapes_[j].weight.
   std::vector<BigInt> cumulative_;
   BigInt total_;
+  size_t min_world_size_ = 0;
 };
 
 }  // namespace psc

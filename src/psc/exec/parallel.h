@@ -35,6 +35,12 @@ namespace exec {
 /// concurrently from different workers for different indices. With a null
 /// or single-worker pool the loop runs inline, in index order.
 ///
+/// On a pool, the calling thread and up to `pool->size() - 1` helper
+/// tasks claim indices one at a time; the caller runs every index no
+/// helper claimed, so the call never waits on queued work. It may be
+/// called from inside a shard, on the same pool, to any depth. Helpers
+/// that start after the call returned find no index left and return.
+///
 /// When `cancel` is non-null, workers observe the token **between
 /// shards**: an index whose turn comes after the token was cancelled is
 /// skipped entirely (its `body` is never entered), so a tripped deadline

@@ -1,6 +1,7 @@
 #include "psc/exec/thread_pool.h"
 
 #include <cstdlib>
+#include <map>
 #include <string>
 
 #include "psc/obs/log.h"
@@ -145,6 +146,22 @@ void ThreadPool::WorkerLoop(size_t index) {
       return;
     }
   }
+}
+
+ThreadPool* SharedPool(size_t workers) {
+  if (workers <= 1) return nullptr;
+  struct Registry {
+    sync::Mutex mutex{"exec.pool.registry", sync::kRankExecRegistry};
+    std::map<size_t, std::unique_ptr<ThreadPool>> pools PSC_GUARDED_BY(mutex);
+  };
+  // Never destroyed, like the metric registries its pools' workers write
+  // to: a worker may still be returning from a task while the process
+  // exits.
+  static Registry* registry = new Registry();
+  sync::MutexLock lock(&registry->mutex);
+  std::unique_ptr<ThreadPool>& pool = registry->pools[workers];
+  if (pool == nullptr) pool = std::make_unique<ThreadPool>(workers);
+  return pool.get();
 }
 
 }  // namespace exec

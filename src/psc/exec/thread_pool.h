@@ -57,6 +57,10 @@ size_t ResolveThreadCount(size_t requested);
 /// Destruction drains nothing: the destructor waits for every already
 /// submitted task to finish, then joins the workers. Do not submit from a
 /// task racing the destructor.
+///
+/// The solvers do not build pools: they run on `SharedPool`'s. A pool of
+/// one's own serves work that must not queue behind the solvers' (pscd's
+/// batch fan-out) and tests.
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (clamped to >= 1).
@@ -93,6 +97,16 @@ class ThreadPool {
   std::atomic<uint64_t> next_queue_{0};
   std::atomic<bool> stopping_{false};
 };
+
+/// \brief The process's pool of `workers` threads; null when `workers` is
+/// at most 1, where callers run inline.
+///
+/// The first call for a worker count builds that pool. It lives until the
+/// process exits (its workers are never joined), and every later call for
+/// the same count, from any thread, returns it. Loops on it are
+/// `ParallelFor`/`ParallelReduce`, whose callers run shards themselves, so
+/// a shard may fan out on the pool it runs on.
+ThreadPool* SharedPool(size_t workers);
 
 }  // namespace exec
 }  // namespace psc

@@ -96,6 +96,14 @@ std::pair<uint64_t, uint64_t> Database::BumpRelation(
   return {old_generation, slot};
 }
 
+Database Database::OfRelation(const std::string& relation, Relation tuples) {
+  Database database;
+  if (tuples.empty()) return database;
+  database.relations_.emplace(relation, std::move(tuples));
+  database.BumpRelation(relation);
+  return database;
+}
+
 bool Database::AddFact(const Fact& fact) {
   return AddFact(fact.relation(), fact.tuple());
 }

@@ -90,6 +90,10 @@ class Database {
   Database& operator=(const Database& o);
   Database& operator=(Database&& o) noexcept;
 
+  /// \brief A database holding exactly `tuples` in `relation`, and no facts
+  /// when `tuples` is empty. The set is moved in, not copied.
+  static Database OfRelation(const std::string& relation, Relation tuples);
+
   /// \brief Inserts a fact; returns true if it was not already present.
   /// Inserting a present fact is a no-op: generations and cached indexes
   /// are left untouched.

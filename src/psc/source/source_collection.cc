@@ -1,8 +1,6 @@
 #include "psc/source/source_collection.h"
 
 #include <algorithm>
-#include <functional>
-#include <numeric>
 #include <set>
 
 #include "psc/obs/metrics.h"
@@ -160,35 +158,6 @@ Result<CollectionDeltaSummary> SourceCollection::ApplyDelta(
   PSC_OBS_COUNTER_ADD("delta.ops_applied", summary.inserted + summary.retracted);
   PSC_OBS_COUNTER_ADD("delta.noops", summary.noops);
   return summary;
-}
-
-std::vector<std::vector<size_t>> SourceCollection::RelationGroups() const {
-  // Union-find over source indices, merging on shared body relations.
-  std::vector<size_t> parent(sources_.size());
-  std::iota(parent.begin(), parent.end(), size_t{0});
-  std::function<size_t(size_t)> find = [&](size_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
-  std::map<std::string, size_t> relation_owner;
-  for (size_t i = 0; i < sources_.size(); ++i) {
-    for (const Atom& atom : sources_[i].view().relational_body()) {
-      const auto [it, fresh] = relation_owner.emplace(atom.predicate(), i);
-      if (!fresh) parent[find(i)] = find(it->second);
-    }
-  }
-  std::map<size_t, std::vector<size_t>> by_root;
-  for (size_t i = 0; i < sources_.size(); ++i) by_root[find(i)].push_back(i);
-  std::vector<std::vector<size_t>> groups;
-  groups.reserve(by_root.size());
-  for (auto& [root, members] : by_root) groups.push_back(std::move(members));
-  // by_root keys are roots (arbitrary); order groups by smallest member.
-  std::sort(groups.begin(), groups.end(),
-            [](const auto& a, const auto& b) { return a.front() < b.front(); });
-  return groups;
 }
 
 std::string SourceCollection::ToString() const {

@@ -113,14 +113,6 @@ class SourceCollection {
     return i < source_generations_.size() ? source_generations_[i] : 0;
   }
 
-  /// \brief Partitions source indices into *relation groups*: the connected
-  /// components of the "shares a body relation" graph. Sources in different
-  /// groups constrain disjoint parts of the global database, so poss(S)
-  /// factorizes as a product across groups — a delta confined to one group
-  /// cannot change marginal confidences computed over another while the
-  /// collection stays consistent. Groups are sorted by smallest member.
-  std::vector<std::vector<size_t>> RelationGroups() const;
-
  private:
   explicit SourceCollection(std::vector<SourceDescriptor> sources,
                             Schema schema)

@@ -1,8 +1,12 @@
 #include "psc/counting/world_sampler.h"
 
+#include <algorithm>
+#include <cmath>
 #include <map>
+#include <set>
 
 #include "gtest/gtest.h"
+#include "psc/counting/world_enumerator.h"
 #include "psc/source/measures.h"
 #include "test_util.h"
 
@@ -12,6 +16,120 @@ namespace {
 using testing::IntDomain;
 using testing::MakeUnaryCollection;
 using testing::MakeUnarySource;
+
+/// P(X ≥ x) for X ~ χ²(df): the regularized upper incomplete gamma
+/// Q(df/2, x/2), by its series below df/2 + 1 and its continued fraction
+/// (modified Lentz) above.
+double ChiSquareSurvival(double x, double df) {
+  const double a = df / 2;
+  const double z = x / 2;
+  if (z <= 0) return 1;
+  const double prefix = std::exp(a * std::log(z) - z - std::lgamma(a));
+  if (z < a + 1) {
+    double term = 1 / a;
+    double sum = term;
+    for (int n = 1; n < 10000 && term > sum * 1e-16; ++n) {
+      term *= z / (a + n);
+      sum += term;
+    }
+    return 1 - prefix * sum;
+  }
+  constexpr double kTiny = 1e-300;
+  double b = z + 1 - a;
+  double c = 1 / kTiny;
+  double d = 1 / b;
+  double h = d;
+  for (int i = 1; i < 10000; ++i) {
+    const double an = -i * (i - a);
+    b += 2;
+    d = an * d + b;
+    if (std::fabs(d) < kTiny) d = kTiny;
+    c = b + an / c;
+    if (std::fabs(c) < kTiny) c = kTiny;
+    d = 1 / d;
+    const double delta = d * c;
+    h *= delta;
+    if (std::fabs(delta - 1) < 1e-16) break;
+  }
+  return prefix * h;
+}
+
+TEST(ChiSquareSurvivalTest, MatchesClosedForms) {
+  // Two degrees of freedom: e^{-x/2}; one: erfc(sqrt(x/2)).
+  for (const double x : {0.5, 3.0, 10.0, 60.0}) {
+    EXPECT_NEAR(ChiSquareSurvival(x, 2), std::exp(-x / 2), 1e-12) << x;
+    EXPECT_NEAR(ChiSquareSurvival(x, 1), std::erfc(std::sqrt(x / 2)), 1e-12)
+        << x;
+  }
+}
+
+TEST(WorldSamplerTest, SmallerSideDrawsAreUniformOverPossibleWorlds) {
+  // S holds facts 0-3 (soundness 1/4, completeness 1/2) over the domain
+  // 0-5: a world keeps k = 1-4 of S's facts and j <= min(k, 2) of the two
+  // facts outside S. Both groups have shapes with k < n/2, k = n/2 and
+  // k > n/2, so draws take every side of the smaller-side rule. 56 worlds.
+  auto collection =
+      MakeUnaryCollection({MakeUnarySource("S", {0, 1, 2, 3}, "1/2", "1/4")});
+  auto instance = IdentityInstance::Create(collection, IntDomain(6));
+  ASSERT_TRUE(instance.ok()) << instance.status().ToString();
+  auto sampler = WorldSampler::Create(&*instance);
+  ASSERT_TRUE(sampler.ok()) << sampler.status().ToString();
+
+  // The worlds as sorted fact ids, and the counts each group takes.
+  std::map<std::vector<size_t>, size_t> index_of;
+  std::set<std::pair<size_t, size_t>> shapes;
+  const auto in_s = [&](size_t id) {
+    return instance->universe()[id][0].AsInt() < 4;
+  };
+  auto completed = IdentityWorldEnumerator(&*instance).ForEachWorldIds(
+      [&](const std::vector<size_t>& ids) {
+        std::vector<size_t> world = ids;
+        std::sort(world.begin(), world.end());
+        index_of.emplace(world, index_of.size());
+        const size_t kept = static_cast<size_t>(
+            std::count_if(world.begin(), world.end(), in_s));
+        shapes.emplace(kept, world.size() - kept);
+        return true;
+      });
+  ASSERT_TRUE(completed.ok() && *completed);
+  ASSERT_EQ(index_of.size(), 56u);
+  EXPECT_EQ(sampler->world_count().ToUint64(), 56u);
+  for (const size_t k : {1u, 2u, 3u, 4u}) {
+    EXPECT_EQ(shapes.count({k, 0}), 1u) << k;
+  }
+  for (const size_t j : {0u, 1u, 2u}) {
+    EXPECT_EQ(shapes.count({2, j}), 1u) << j;
+  }
+
+  constexpr int kDraws = 200000;
+  std::vector<int64_t> hits(index_of.size(), 0);
+  Rng draw_rng(2024);
+  Rng sample_rng(2024);
+  WorldSampler::DrawBuffer buffer;
+  std::vector<size_t> members;
+  for (int i = 0; i < kDraws; ++i) {
+    sampler->Draw(&draw_rng, &members, &buffer);
+    if (i < 2000) {
+      // Sample makes the same RNG use and holds exactly Draw's facts.
+      Relation drawn;
+      for (const size_t id : members) drawn.insert(instance->universe()[id]);
+      ASSERT_EQ(sampler->Sample(&sample_rng).GetRelation("R"), drawn)
+          << "draw " << i;
+    }
+    std::sort(members.begin(), members.end());
+    const auto it = index_of.find(members);
+    ASSERT_NE(it, index_of.end()) << "draw " << i << " is not a world";
+    ++hits[it->second];
+  }
+  const double expected = static_cast<double>(kDraws) / 56.0;
+  double chi_square = 0;
+  for (const int64_t count : hits) {
+    const double diff = static_cast<double>(count) - expected;
+    chi_square += diff * diff / expected;
+  }
+  EXPECT_GE(ChiSquareSurvival(chi_square, 55), 1e-6)
+      << "chi-square " << chi_square << " over 55 degrees of freedom";
+}
 
 TEST(WorldSamplerTest, SamplesAreAlwaysPossibleWorlds) {
   auto collection =

@@ -289,25 +289,6 @@ TEST(CollectionDeltaTest, ValidationIsAllOrNothing) {
   EXPECT_EQ(collection.generation(), 0u);
 }
 
-TEST(CollectionDeltaTest, RelationGroupsPartitionBySharedBodyRelations) {
-  std::vector<SourceDescriptor> sources;
-  sources.push_back(MakeSource("A", "V(x) <- R(x)", {T(1)}, Rational(0),
-                               Rational(0)));
-  sources.push_back(MakeSource("B", "V(x) <- S(x, y)", {T(1)}, Rational(0),
-                               Rational(0)));
-  sources.push_back(MakeSource("C", "V(x) <- R(x), S(x, y)", {T(1)},
-                               Rational(0), Rational(0)));
-  sources.push_back(MakeSource("D", "V(x) <- U(x)", {T(1)}, Rational(0),
-                               Rational(0)));
-  auto collection = SourceCollection::Create(std::move(sources));
-  ASSERT_TRUE(collection.ok());
-  // C bridges R and S, merging A and B into one group; D stands alone.
-  const auto groups = collection->RelationGroups();
-  ASSERT_EQ(groups.size(), 2u);
-  EXPECT_EQ(groups[0], (std::vector<size_t>{0, 1, 2}));
-  EXPECT_EQ(groups[1], (std::vector<size_t>{3}));
-}
-
 TEST(TemplateBuilderTest, IsAllowableChecksSizeAndMembership) {
   SourceCollection collection = TwoMirrors();  // thresholds ⌈|v|/2⌉ = 1
   TemplateBuilder builder(&collection);

@@ -25,6 +25,7 @@
 #include "psc/obs/metrics.h"
 #include "psc/parser/parser.h"
 #include "psc/util/random.h"
+#include "psc/workload/cache_workload.h"
 #include "test_util.h"
 
 namespace psc {
@@ -444,6 +445,64 @@ TEST(LineageDifferentialTest, CompleteSourceOverLargeDomainMatchesOracle) {
   }
 }
 
+/// Whether Monte-Carlo answering over `collection` builds one lineage per
+/// call: twice the smallest possible world covers every fact a draw can
+/// hold.
+bool OneLineagePerCall(const SourceCollection& collection,
+                       const std::vector<Value>& domain) {
+  auto instance = IdentityInstance::Create(collection, domain);
+  EXPECT_TRUE(instance.ok()) << instance.status().ToString();
+  auto sampler = WorldSampler::Create(&*instance);
+  EXPECT_TRUE(sampler.ok()) << sampler.status().ToString();
+  return 2 * sampler->min_world_size() >= sampler->DrawableFacts().size();
+}
+
+TEST(LineageDifferentialTest, DenseCacheFleetBuildsOneLineagePerCall) {
+  // A Section 6 cache fleet: two caches over 200 objects, whose worlds
+  // hold nearly every object either cache lists.
+  CacheConfig config;
+  config.num_objects = 200;
+  config.num_caches = 2;
+  config.coverage = 0.95;
+  config.staleness = 0.02;
+  config.seed = 7;
+  PSC_ASSERT_OK_AND_ASSIGN(const CacheWorkload workload,
+                           MakeCacheWorkload(config));
+  const SourceCollection& collection = workload.collection;
+  const std::vector<Value> domain = collection.MentionedConstants();
+  ASSERT_TRUE(OneLineagePerCall(collection, domain));
+  PSC_ASSERT_OK_AND_ASSIGN(const ConjunctiveQuery query,
+                           ParseQuery("Ans(x) <- Object(x)"));
+  PSC_ASSERT_OK_AND_ASSIGN(const AlgebraExprPtr plan, CompileQuery(query));
+
+  // What one lineage build over the drawable facts produces.
+  PSC_ASSERT_OK_AND_ASSIGN(const IdentityInstance instance,
+                           IdentityInstance::Create(collection, domain));
+  PSC_ASSERT_OK_AND_ASSIGN(const WorldSampler sampler,
+                           WorldSampler::Create(&instance));
+  std::vector<Fact> facts;
+  for (const size_t id : sampler.DrawableFacts()) {
+    facts.emplace_back(instance.relation(), instance.universe()[id]);
+  }
+  uint64_t before = TuplesProduced();
+  ASSERT_TRUE(plan->EvalLineage(facts).ok());
+  const uint64_t one_build = TuplesProduced() - before;
+
+  // 192 samples: three 64-sample blocks, which would build three
+  // lineages if each answered its own group.
+  const auto estimate =
+      OracleMonteCarlo(collection, plan, domain, 192, 11, 0);
+  ASSERT_TRUE(estimate.ok()) << estimate.status().ToString();
+  for (const size_t threads : kThreadCounts) {
+    const std::string at = "threads " + std::to_string(threads);
+    before = TuplesProduced();
+    ExpectSameAnswer(
+        MakeSystem(collection, threads).AnswerMonteCarlo(plan, domain, 192, 11),
+        estimate, at);
+    EXPECT_EQ(TuplesProduced() - before, one_build) << at;
+  }
+}
+
 TEST(LineageDifferentialTest, SparseWorldsOverLargeUniverseMatchOracle) {
   // No complete source: every fact of dom^2 (1600) can be in a world, but
   // completeness 1/2 lets a world add at most as many facts outside S as
@@ -457,6 +516,7 @@ TEST(LineageDifferentialTest, SparseWorldsOverLargeUniverseMatchOracle) {
       "}\n");
   ASSERT_TRUE(collection.ok()) << collection.status().ToString();
   const std::vector<Value> domain = IntDomain(40);
+  ASSERT_FALSE(OneLineagePerCall(*collection, domain));
   const AlgebraExprPtr r = AlgebraExpr::Base("R", 2);
   PSC_ASSERT_OK_AND_ASSIGN(const ConjunctiveQuery query,
                            ParseQuery("Ans(x, z) <- R(x, y), R(y, z)"));

@@ -186,7 +186,8 @@ TEST(RankTest, HierarchyConstantsAreStrictlyOrderedWhereNested) {
   EXPECT_LT(kRankDeltaCache, kRankEvalIndexCache);    // rebuild touches eval
   EXPECT_LT(kRankDeltaCache, kRankMemoShard);         // rebuild touches memo
   EXPECT_LT(kRankExecQueue, kRankObsMetrics);         // TrySteal counters
-  EXPECT_LT(kRankSearchOutcome, kRankSearchBlocks);
+  EXPECT_LT(kRankDeltaData, kRankExecRegistry);       // a full check fans out
+  EXPECT_LT(kRankExecRegistry, kRankObsMetrics);      // pool creation counters
   EXPECT_LT(kRankObsScopeTrip, kRankObsScopeRegistry);
   EXPECT_LT(kRankObsLogSeen, kRankObsLogSink);
 }

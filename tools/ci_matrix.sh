@@ -73,12 +73,13 @@ cmake --build "${asan_dir}" -j "${jobs}"
 
 # Repeat stage in the same ASan+UBSan build: a race that fails one run in
 # ten passes a single run by luck, so the budget and cancellation tests
-# of the core, limits, counting and exec suites run up to 50 times each
-# and stop at the first failure.
-echo "=== budget/cancellation tests x50 under ASan+UBSan -> ${asan_dir} ==="
+# of the core, limits, counting and exec suites, and the shared-pool
+# tests (nested loops, late helpers), run up to 50 times each and stop at
+# the first failure.
+echo "=== budget/cancellation and shared-pool tests x50 under ASan+UBSan -> ${asan_dir} ==="
 (cd "${asan_dir}" && ctest --output-on-failure -j "${jobs}" \
   --repeat until-fail:50 \
-  -R 'QuerySystemOptionsTest|NodeBudgetTest|Deadline.*Test|SignatureCounterTest|ShardsCancelledTest')
+  -R 'QuerySystemOptionsTest|NodeBudgetTest|Deadline.*Test|SignatureCounterTest|ShardsCancelledTest|SharedPoolTest')
 
 # Debug build: rank checking defaults ON there (see
 # src/psc/sync/mutex.cc RankCheckingDefault), so running the
@@ -186,16 +187,53 @@ run_smoke "psc confidences (example 5.1)" \
   "${smoke_build}/tools/psc" confidences data/example51.psc
 run_smoke "psc audit (conflicted)" \
   "${smoke_build}/tools/psc" audit data/conflicted.psc
+# Example 5.1's smallest world is one fact of three, so its blocks answer
+# their own groups of worlds.
 run_smoke "psc answer --method mc (example 5.1)" \
   "${smoke_build}/tools/psc" answer data/example51.psc 'Ans(x) <- R(x)' \
   --method mc --samples 500 --seed 3
+# A dense two-cache fleet: every world holds at least 12 of the 14 facts a
+# draw can take, so the call builds one lineage for all its blocks.
+fleet_input="$(mktemp)"
+sparse_input="$(mktemp)"
+trap 'rm -f "${smoke_input}" "${fanout_input}" "${fleet_input}" "${sparse_input}"' EXIT
+cat > "${fleet_input}" <<'EOF'
+source cache1 {
+  view: V1(x) <- Object(x)
+  completeness: 5/6
+  soundness: 10/11
+  facts: (0), (1), (2), (3), (4), (5), (6), (7), (8), (9), (20)
+}
+source cache2 {
+  view: V2(x) <- Object(x)
+  completeness: 5/6
+  soundness: 10/11
+  facts: (2), (3), (4), (5), (6), (7), (8), (9), (10), (11), (21)
+}
+EOF
+run_smoke "psc answer --method mc (dense fleet, one lineage)" \
+  "${smoke_build}/tools/psc" answer "${fleet_input}" 'Ans(x) <- Object(x)' \
+  --method mc --samples 500 --seed 3
+# One completeness-1/2 source of 4 facts over 100 constants: worlds of 2
+# to 8 facts among 100, so each block answers groups of its own worlds.
+cat > "${sparse_input}" <<'EOF'
+source S {
+  view: V(x) <- R(x)
+  completeness: 1/2
+  soundness: 1/2
+  facts: V(0), V(1), V(2), V(3)
+}
+EOF
+run_smoke "psc answer --method mc (sparse worlds, per-block groups)" \
+  "${smoke_build}/tools/psc" answer "${sparse_input}" 'Ans(x) <- R(x)' \
+  --method mc --samples 500 --seed 3 --domain "$(seq -s, 0 99)"
 
 # Query-evaluation bench smoke: the sweep cross-checks every compiled
 # result against the reference oracle (non-zero exit on mismatch) and
 # its metrics record must carry the eval.* counters.
 echo "=== bench_query_eval smoke ==="
 bench_metrics="$(mktemp)"
-trap 'rm -f "${smoke_input}" "${fanout_input}" "${bench_metrics}"' EXIT
+trap 'rm -f "${smoke_input}" "${fanout_input}" "${fleet_input}" "${sparse_input}" "${bench_metrics}"' EXIT
 PSC_BENCH_METRICS_OUT="${bench_metrics}" \
   "${smoke_build}/bench/bench_query_eval" --smoke
 python3 tools/check_metrics_schema.py \
@@ -211,7 +249,7 @@ python3 tools/check_metrics_schema.py \
 # dirty-scoped consistency skips.
 echo "=== bench_incremental smoke ==="
 delta_metrics="$(mktemp)"
-trap 'rm -f "${smoke_input}" "${fanout_input}" "${bench_metrics}" "${delta_metrics}"' EXIT
+trap 'rm -f "${smoke_input}" "${fanout_input}" "${fleet_input}" "${sparse_input}" "${bench_metrics}" "${delta_metrics}"' EXIT
 PSC_BENCH_METRICS_OUT="${delta_metrics}" \
   "${smoke_build}/bench/bench_incremental" --smoke
 python3 tools/check_metrics_schema.py \
@@ -228,7 +266,7 @@ python3 tools/check_metrics_schema.py \
 # per-verb request counters and cross-session batch dedup.
 echo "=== bench_serving smoke ==="
 serving_metrics="$(mktemp)"
-trap 'rm -f "${smoke_input}" "${fanout_input}" "${bench_metrics}" "${delta_metrics}" "${serving_metrics}"' EXIT
+trap 'rm -f "${smoke_input}" "${fanout_input}" "${fleet_input}" "${sparse_input}" "${bench_metrics}" "${delta_metrics}" "${serving_metrics}"' EXIT
 PSC_BENCH_METRICS_OUT="${serving_metrics}" \
   "${smoke_build}/bench/bench_serving" --smoke
 python3 tools/check_metrics_schema.py \
@@ -244,7 +282,7 @@ python3 tools/check_metrics_schema.py \
 # exit 0 on the shutdown verb.
 echo "=== pscd end-to-end serving smoke ==="
 serve_dir="$(mktemp -d)"
-trap 'rm -f "${smoke_input}" "${fanout_input}" "${bench_metrics}" "${delta_metrics}" "${serving_metrics}"; rm -rf "${serve_dir}"' EXIT
+trap 'rm -f "${smoke_input}" "${fanout_input}" "${fleet_input}" "${sparse_input}" "${bench_metrics}" "${delta_metrics}" "${serving_metrics}"; rm -rf "${serve_dir}"' EXIT
 serve_sock="${serve_dir}/pscd.sock"
 "${smoke_build}/tools/pscd" --unix "${serve_sock}" \
   --load data/example51.psc > "${serve_dir}/pscd.log" 2>&1 &
@@ -308,7 +346,7 @@ echo "pscd served racing clients and drained cleanly (exit 0)"
 # thread-count independent.
 echo "=== --apply-delta streaming smoke ==="
 delta_script="$(mktemp)"
-trap 'rm -f "${smoke_input}" "${fanout_input}" "${bench_metrics}" "${delta_metrics}" "${serving_metrics}" "${delta_script}"; rm -rf "${serve_dir}"' EXIT
+trap 'rm -f "${smoke_input}" "${fanout_input}" "${fleet_input}" "${sparse_input}" "${bench_metrics}" "${delta_metrics}" "${serving_metrics}" "${delta_script}"; rm -rf "${serve_dir}"' EXIT
 cat > "${delta_script}" <<'EOF'
 + S1("c")
 --
@@ -325,7 +363,7 @@ run_smoke "psc check --apply-delta (example 5.1)" \
 echo "=== --deadline-ms graceful-degradation smoke ==="
 deadline_input="$(mktemp)"
 deadline_metrics="$(mktemp)"
-trap 'rm -f "${smoke_input}" "${fanout_input}" "${bench_metrics}" "${delta_metrics}" "${serving_metrics}" "${deadline_input}" "${deadline_metrics}"; rm -rf "${serve_dir}"' EXIT
+trap 'rm -f "${smoke_input}" "${fanout_input}" "${fleet_input}" "${sparse_input}" "${bench_metrics}" "${delta_metrics}" "${serving_metrics}" "${deadline_input}" "${deadline_metrics}"; rm -rf "${serve_dir}"' EXIT
 {
   printf 'source Blocker {\n  view: V0(x) <- R(x), M(x)\n'
   printf '  completeness: 1\n  soundness: 0\n}\n'
@@ -352,7 +390,7 @@ python3 tools/check_metrics_schema.py \
 # error before the first world, well within the 2 s timeout.
 echo "=== exact-enumeration up-front refusal smoke ==="
 refusal_input="$(mktemp)"
-trap 'rm -f "${smoke_input}" "${fanout_input}" "${bench_metrics}" "${delta_metrics}" "${serving_metrics}" "${deadline_input}" "${deadline_metrics}" "${refusal_input}"; rm -rf "${serve_dir}"' EXIT
+trap 'rm -f "${smoke_input}" "${fanout_input}" "${fleet_input}" "${sparse_input}" "${bench_metrics}" "${delta_metrics}" "${serving_metrics}" "${deadline_input}" "${deadline_metrics}" "${refusal_input}"; rm -rf "${serve_dir}"' EXIT
 printf 'source S {\n  view: V(x) <- R(x)\n  completeness: 0\n  soundness: 0\n  facts: (0)\n}\n' \
   > "${refusal_input}"
 if refusal="$(timeout 2 "${smoke_build}/tools/psc" answer "${refusal_input}" \
@@ -369,7 +407,7 @@ fi
 echo "=== query-scoped telemetry smoke ==="
 telemetry_trace="$(mktemp)"
 telemetry_metrics="$(mktemp)"
-trap 'rm -f "${smoke_input}" "${fanout_input}" "${bench_metrics}" "${delta_metrics}" "${serving_metrics}" "${deadline_input}" "${deadline_metrics}" "${refusal_input}" "${telemetry_trace}" "${telemetry_metrics}"; rm -rf "${serve_dir}"' EXIT
+trap 'rm -f "${smoke_input}" "${fanout_input}" "${fleet_input}" "${sparse_input}" "${bench_metrics}" "${delta_metrics}" "${serving_metrics}" "${deadline_input}" "${deadline_metrics}" "${refusal_input}" "${telemetry_trace}" "${telemetry_metrics}"; rm -rf "${serve_dir}"' EXIT
 "${smoke_build}/tools/psc" answer data/example51.psc "Ans(x) <- R(x)" \
   --method mc --samples 20000 --threads 4 --quiet \
   --trace-out "${telemetry_trace}" --metrics-out "${telemetry_metrics}"
@@ -380,4 +418,4 @@ python3 tools/check_metrics_schema.py \
   "${telemetry_metrics}"
 python3 tools/psc_trace_summary.py --k 5 "${telemetry_trace}"
 
-echo "ci matrix passed: lint, PSC_OBS on/off, TSan, ASan+UBSan (and its x50 budget/cancellation repeat), Debug lock-rank checks, clang stages (or skipped), --threads equivalence, deadline degradation, exact-enumeration refusal, query-scoped telemetry, incremental-delta and resident-serving smokes green"
+echo "ci matrix passed: lint, PSC_OBS on/off, TSan, ASan+UBSan (and its x50 budget/cancellation and shared-pool repeat), Debug lock-rank checks, clang stages (or skipped), --threads equivalence, deadline degradation, exact-enumeration refusal, query-scoped telemetry, incremental-delta and resident-serving smokes green"
