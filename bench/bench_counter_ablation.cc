@@ -14,7 +14,6 @@
 #include "bench_util.h"
 #include "benchmark/benchmark.h"
 #include "psc/counting/linear_system.h"
-#include "psc/counting/dp_counter.h"
 #include "psc/counting/model_counter.h"
 #include "psc/util/combinatorics.h"
 #include "psc/util/random.h"
@@ -91,8 +90,8 @@ void PrintTable() {
   std::printf(
       "=== E6: signature counter vs 2^N enumeration (identical counts) "
       "===\n");
-  std::printf("%4s | %16s | %12s | %12s | %14s | %10s\n", "N",
-              "|poss(S)|", "shapes ms", "dp ms", "2^N ms", "speedup");
+  std::printf("%4s | %16s | %12s | %14s | %10s\n", "N", "|poss(S)|",
+              "shapes ms", "2^N ms", "speedup");
   const SourceCollection collection = OverlappingCollection();
   for (const int64_t n : {4, 8, 12, 16, 20, 22}) {
     auto instance = IdentityInstance::Create(collection, IntDomain(n));
@@ -105,25 +104,19 @@ void PrintTable() {
     const double counter_ms = stopwatch.ElapsedMillis();
 
     stopwatch.Reset();
-    DpCounter dp(&*instance);
-    auto dp_outcome = dp.Count();
-    const double dp_ms = stopwatch.ElapsedMillis();
-
-    stopwatch.Reset();
     auto system = LinearSystem::FromIdentityInstance(*instance);
-    auto brute = system->CountSolutionsBruteForce(/*max_vars=*/24);
+    auto brute = system->CountSolutionsBruteForce();
     const double brute_ms = stopwatch.ElapsedMillis();
 
-    if (!outcome.ok() || !dp_outcome.ok() || !brute.ok()) continue;
-    const bool match = outcome->world_count == *brute &&
-                       dp_outcome->world_count == *brute;
-    std::printf("%4lld | %16s | %12.3f | %12.3f | %14.3f | %9.1fx%s\n",
+    if (!outcome.ok() || !brute.ok()) continue;
+    const bool match = outcome->world_count == *brute;
+    std::printf("%4lld | %16s | %12.3f | %14.3f | %9.1fx%s\n",
                 static_cast<long long>(n),
-                outcome->world_count.ToString().c_str(), counter_ms, dp_ms,
+                outcome->world_count.ToString().c_str(), counter_ms,
                 brute_ms, brute_ms / std::max(counter_ms, 1e-6),
                 match ? "" : "  !! MISMATCH");
   }
-  // Beyond the 2^N horizon the exact counters keep going.
+  // Beyond the 2^N horizon the shape counter keeps going.
   for (const int64_t n : {64, 256, 1024, 8192}) {
     auto instance = IdentityInstance::Create(collection, IntDomain(n));
     if (!instance.ok()) continue;
@@ -132,16 +125,11 @@ void PrintTable() {
     SignatureCounter counter(&*instance, &binomials);
     auto outcome = counter.Count();
     const double counter_ms = stopwatch.ElapsedMillis();
-    stopwatch.Reset();
-    DpCounter dp(&*instance);
-    auto dp_outcome = dp.Count();
-    const double dp_ms = stopwatch.ElapsedMillis();
-    if (!outcome.ok() || !dp_outcome.ok()) continue;
-    const bool match = outcome->world_count == dp_outcome->world_count;
-    std::printf("%4lld | %16s | %12.3f | %12.3f | %14s | %10s%s\n",
+    if (!outcome.ok()) continue;
+    std::printf("%4lld | %16s | %12.3f | %14s | %10s\n",
                 static_cast<long long>(n),
-                outcome->world_count.ToString().c_str(), counter_ms, dp_ms,
-                "2^N n/a", "-", match ? "" : "  !! MISMATCH");
+                outcome->world_count.ToString().c_str(), counter_ms,
+                "2^N n/a", "-");
   }
   // Three noisy sources over a planted truth, sized like the one-shot
   // federation benchmark's compositional answers (dense universes of 48
@@ -159,25 +147,18 @@ void PrintTable() {
     SignatureCounter counter(&*instance, &binomials);
     auto outcome = counter.Count();
     const double counter_ms = stopwatch.ElapsedMillis();
-    stopwatch.Reset();
-    DpCounter dp(&*instance);
-    auto dp_outcome = dp.Count();
-    const double dp_ms = stopwatch.ElapsedMillis();
-    if (!outcome.ok() || !dp_outcome.ok()) continue;
-    const bool match = outcome->world_count == dp_outcome->world_count;
-    std::printf("%4lld | %16.6g | %12.3f | %12.3f | %14s | %10s%s"
+    if (!outcome.ok()) continue;
+    std::printf("%4lld | %16.6g | %12.3f | %14s | %10s"
                 "  (planted, %zu groups, %llu shapes)\n",
                 static_cast<long long>(n), outcome->world_count.ToDouble(),
-                counter_ms, dp_ms, "2^N n/a", "-",
-                match ? "" : "  !! MISMATCH", instance->groups().size(),
+                counter_ms, "2^N n/a", "-", instance->groups().size(),
                 static_cast<unsigned long long>(outcome->feasible_shapes));
   }
   std::printf(
-      "(shape: identical counts from three algorithms; the 2^N baseline "
+      "(shape: identical counts from both algorithms; the 2^N baseline "
       "doubles per fact, shape enumeration grows with the largest group "
       "on two sources and multiplies across groups on planted three-source "
-      "federations, and the aggregate-sum DP stays polynomial in the domain "
-      "size.)\n\n");
+      "federations.)\n\n");
 }
 
 void BM_SignatureCounter(benchmark::State& state) {
@@ -193,25 +174,13 @@ void BM_SignatureCounter(benchmark::State& state) {
 }
 BENCHMARK(BM_SignatureCounter)->Arg(8)->Arg(64)->Arg(1024);
 
-void BM_DpCounter(benchmark::State& state) {
-  const SourceCollection collection = OverlappingCollection();
-  auto instance =
-      IdentityInstance::Create(collection, IntDomain(state.range(0)));
-  for (auto _ : state) {
-    DpCounter counter(&*instance);
-    auto outcome = counter.Count();
-    benchmark::DoNotOptimize(outcome);
-  }
-}
-BENCHMARK(BM_DpCounter)->Arg(8)->Arg(64)->Arg(1024);
-
 void BM_BruteForceCount(benchmark::State& state) {
   const SourceCollection collection = OverlappingCollection();
   auto instance =
       IdentityInstance::Create(collection, IntDomain(state.range(0)));
   auto system = LinearSystem::FromIdentityInstance(*instance);
   for (auto _ : state) {
-    auto count = system->CountSolutionsBruteForce(/*max_vars=*/24);
+    auto count = system->CountSolutionsBruteForce();
     benchmark::DoNotOptimize(count);
   }
 }

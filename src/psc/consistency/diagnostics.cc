@@ -62,12 +62,12 @@ Result<std::vector<SourceBlame>> BlameSources(
 
 Result<std::vector<std::vector<std::string>>> MaximalConsistentSubcollections(
     const SourceCollection& collection,
-    const GeneralConsistencyChecker& checker, size_t max_sources) {
+    const GeneralConsistencyChecker& checker) {
   const size_t n = collection.size();
-  if (n > max_sources || n > 63) {
+  if (n > kMaxDiagnosedSources) {
     return Status::ResourceExhausted(
         StrCat("subset enumeration over ", n, " sources exceeds the limit of ",
-               std::min<size_t>(max_sources, 63)));
+               kMaxDiagnosedSources));
   }
   // Visit subsets grouped by decreasing popcount so supersets come first.
   std::vector<uint64_t> masks;

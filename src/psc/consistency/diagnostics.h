@@ -32,14 +32,21 @@ Result<std::vector<SourceBlame>> BlameSources(
     const SourceCollection& collection,
     const GeneralConsistencyChecker& checker);
 
+/// Most sources `MaximalConsistentSubcollections` accepts. It materializes
+/// and sorts all 2^n subset masks (64-bit) before the first check, so the
+/// bound holds that list at 2^16 entries; a federation this size is
+/// already past interactive diagnosis.
+inline constexpr size_t kMaxDiagnosedSources = 16;
+
 /// \brief Finds all maximal (by set inclusion) consistent sub-collections.
 ///
-/// Enumerates subsets from largest to smallest (n ≤ `max_sources`), skipping
-/// subsets of already-found consistent sets. Subsets with an Unknown verdict
-/// are treated as not-known-consistent and skipped conservatively.
+/// Enumerates subsets from largest to smallest (n ≤ `kMaxDiagnosedSources`,
+/// ResourceExhausted past it), skipping subsets of already-found consistent
+/// sets. Subsets with an Unknown verdict are treated as not-known-consistent
+/// and skipped conservatively.
 Result<std::vector<std::vector<std::string>>> MaximalConsistentSubcollections(
     const SourceCollection& collection,
-    const GeneralConsistencyChecker& checker, size_t max_sources = 16);
+    const GeneralConsistencyChecker& checker);
 
 /// \brief The largest uniform relaxation factor λ ∈ [0,1] (to `precision`
 /// denominator) such that scaling every source's completeness and soundness

@@ -75,8 +75,8 @@ class QuerySystem {
     int64_t deadline_ms = 0;
     /// Explored-node budget shared by all workers of one call (0 = no
     /// budget; CLI: `--node-budget`). Nodes are the solvers' natural work
-    /// units: count-vector tree nodes, DP states, allowable combinations,
-    /// brute-force subsets, Monte-Carlo samples.
+    /// units: count-vector search nodes or last-group runs, allowable
+    /// combinations, brute-force subsets, Monte-Carlo samples.
     uint64_t node_budget = 0;
     /// External cancellation for every call made through this system: the
     /// per-call budgets adopt this token, so one `Cancel()` (a server

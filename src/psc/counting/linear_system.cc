@@ -62,12 +62,19 @@ bool LinearSystem::IsSatisfiedBy(uint64_t mask) const {
   return true;
 }
 
-Result<BigInt> LinearSystem::CountSolutionsBruteForce(size_t max_vars) const {
-  if (num_variables_ > max_vars) {
-    return Status::ResourceExhausted(
-        StrCat("brute-force counting over ", num_variables_,
-               " variables exceeds the limit of ", max_vars));
-  }
+namespace {
+
+Status CheckVariableLimit(size_t num_variables) {
+  if (num_variables <= LinearSystem::kMaxVariables) return Status::OK();
+  return Status::ResourceExhausted(
+      StrCat("brute-force counting over ", num_variables,
+             " variables exceeds the limit of ", LinearSystem::kMaxVariables));
+}
+
+}  // namespace
+
+Result<BigInt> LinearSystem::CountSolutionsBruteForce() const {
+  PSC_RETURN_NOT_OK(CheckVariableLimit(num_variables_));
   BigInt count;
   const uint64_t limit = uint64_t{1} << num_variables_;
   for (uint64_t mask = 0; mask < limit; ++mask) {
@@ -76,18 +83,14 @@ Result<BigInt> LinearSystem::CountSolutionsBruteForce(size_t max_vars) const {
   return count;
 }
 
-Result<BigInt> LinearSystem::CountSolutionsWithFixed(size_t var, bool value,
-                                                     size_t max_vars) const {
+Result<BigInt> LinearSystem::CountSolutionsWithFixed(size_t var,
+                                                     bool value) const {
   if (var >= num_variables_) {
     return Status::InvalidArgument(
         StrCat("variable index ", var, " out of range (N=", num_variables_,
                ")"));
   }
-  if (num_variables_ > max_vars) {
-    return Status::ResourceExhausted(
-        StrCat("brute-force counting over ", num_variables_,
-               " variables exceeds the limit of ", max_vars));
-  }
+  PSC_RETURN_NOT_OK(CheckVariableLimit(num_variables_));
   BigInt count;
   const uint64_t limit = uint64_t{1} << num_variables_;
   const uint64_t bit = uint64_t{1} << var;

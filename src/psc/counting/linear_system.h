@@ -42,16 +42,20 @@ class LinearSystem {
   size_t num_variables() const { return num_variables_; }
   const std::vector<LinearInequality>& rows() const { return rows_; }
 
+  /// Largest N the 2^N counts enumerate. Assignments are N-bit masks, so
+  /// the bound must stay below 64, and 2^30 assignments are already
+  /// minutes of work for an oracle.
+  static constexpr size_t kMaxVariables = 30;
+
   /// Evaluates every row on a 0/1 assignment (bit j of `mask` is x_j).
   bool IsSatisfiedBy(uint64_t mask) const;
 
   /// \brief Counts solutions by enumerating all 2^N assignments.
-  /// Fails when N > `max_vars` (default 30).
-  Result<BigInt> CountSolutionsBruteForce(size_t max_vars = 30) const;
+  /// Fails with ResourceExhausted when N > `kMaxVariables`.
+  Result<BigInt> CountSolutionsBruteForce() const;
 
   /// \brief Counts solutions with x_var fixed to `value` (Γ[x_p/1]).
-  Result<BigInt> CountSolutionsWithFixed(size_t var, bool value,
-                                         size_t max_vars = 30) const;
+  Result<BigInt> CountSolutionsWithFixed(size_t var, bool value) const;
 
   /// Multi-line rendering of all rows.
   std::string ToString() const;

@@ -206,157 +206,5 @@ Status RunReport::WriteJsonFile(const std::string& path) const {
   return Status::OK();
 }
 
-namespace {
-
-Status Expect(bool condition, const std::string& message) {
-  if (condition) return Status::OK();
-  return Status::InvalidArgument(StrCat("run report: ", message));
-}
-
-Status ValidateNonNegativeNumber(const JsonValue& value,
-                                 const std::string& what) {
-  PSC_RETURN_NOT_OK(Expect(value.is_number(), StrCat(what, " not numeric")));
-  return Expect(value.number() >= 0.0, StrCat(what, " negative"));
-}
-
-}  // namespace
-
-namespace {
-
-Status ValidateHistogramObject(const std::string& name,
-                               const JsonValue& value) {
-  PSC_RETURN_NOT_OK(Expect(
-      value.is_object(), StrCat("histogram '", name, "' not an object")));
-  for (const char* field :
-       {"count", "sum", "min", "max", "mean", "p50", "p90", "p95", "p99"}) {
-    const JsonValue* member = value.Find(field);
-    PSC_RETURN_NOT_OK(Expect(
-        member != nullptr,
-        StrCat("histogram '", name, "' missing field '", field, "'")));
-    PSC_RETURN_NOT_OK(ValidateNonNegativeNumber(
-        *member, StrCat("histogram '", name, "' field '", field, "'")));
-  }
-  const double count = value.Find("count")->number();
-  const double sum = value.Find("sum")->number();
-  const double min = value.Find("min")->number();
-  const double max = value.Find("max")->number();
-  PSC_RETURN_NOT_OK(Expect(
-      count > 0 || sum == 0,
-      StrCat("histogram '", name, "' has sum without samples")));
-  PSC_RETURN_NOT_OK(
-      Expect(min <= max, StrCat("histogram '", name, "' has min > max")));
-  return Status::OK();
-}
-
-/// The counters/gauges/histograms triple appears at the top level and
-/// inside every query section; `where` labels errors.
-Status ValidateInstrumentSections(const JsonValue& object,
-                                  const std::string& where) {
-  const JsonValue* counters = object.Find("counters");
-  PSC_RETURN_NOT_OK(Expect(counters != nullptr && counters->is_object(),
-                           StrCat(where, "missing counters object")));
-  for (const auto& [name, value] : counters->object()) {
-    PSC_RETURN_NOT_OK(ValidateNonNegativeNumber(
-        value, StrCat(where, "counter '", name, "'")));
-  }
-
-  const JsonValue* gauges = object.Find("gauges");
-  PSC_RETURN_NOT_OK(Expect(gauges != nullptr && gauges->is_object(),
-                           StrCat(where, "missing gauges object")));
-  for (const auto& [name, value] : gauges->object()) {
-    PSC_RETURN_NOT_OK(Expect(
-        value.is_number(), StrCat(where, "gauge '", name, "' not numeric")));
-  }
-
-  const JsonValue* histograms = object.Find("histograms");
-  PSC_RETURN_NOT_OK(Expect(histograms != nullptr && histograms->is_object(),
-                           StrCat(where, "missing histograms object")));
-  for (const auto& [name, value] : histograms->object()) {
-    PSC_RETURN_NOT_OK(ValidateHistogramObject(StrCat(where, name), value));
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Status ValidateRunReportJson(const JsonValue& document) {
-  PSC_RETURN_NOT_OK(Expect(document.is_object(), "document not an object"));
-
-  const JsonValue* version_value = document.Find("schema_version");
-  PSC_RETURN_NOT_OK(
-      Expect(version_value != nullptr && version_value->is_number(),
-             "missing numeric schema_version"));
-  PSC_RETURN_NOT_OK(
-      Expect(version_value->number() == kRunReportSchemaVersion,
-             StrCat("unsupported schema_version ", version_value->number())));
-
-  PSC_RETURN_NOT_OK(ValidateInstrumentSections(document, ""));
-
-  const JsonValue* spans = document.Find("spans");
-  PSC_RETURN_NOT_OK(
-      Expect(spans != nullptr && spans->is_array(), "missing spans array"));
-  std::set<int64_t> span_ids;
-  for (const JsonValue& span : spans->array()) {
-    PSC_RETURN_NOT_OK(Expect(span.is_object(), "span not an object"));
-    const JsonValue* id = span.Find("id");
-    PSC_RETURN_NOT_OK(Expect(id != nullptr && id->is_number(),
-                             "span missing numeric id"));
-    span_ids.insert(static_cast<int64_t>(id->number()));
-    const JsonValue* name = span.Find("name");
-    PSC_RETURN_NOT_OK(Expect(name != nullptr && name->is_string(),
-                             "span missing name string"));
-    for (const char* field :
-         {"parent", "depth", "start_us", "duration_us", "tid", "scope"}) {
-      const JsonValue* member = span.Find(field);
-      PSC_RETURN_NOT_OK(Expect(member != nullptr && member->is_number(),
-                               StrCat("span missing field '", field, "'")));
-    }
-  }
-  const JsonValue* dropped = document.Find("spans_dropped");
-  PSC_RETURN_NOT_OK(Expect(dropped != nullptr && dropped->is_number(),
-                           "missing numeric spans_dropped"));
-  // Parent links are only guaranteed complete when nothing was dropped
-  // (parents complete after their children, so a full buffer can retain a
-  // child while dropping its parent).
-  if (dropped->number() == 0) {
-    for (const JsonValue& span : spans->array()) {
-      const int64_t parent =
-          static_cast<int64_t>(span.Find("parent")->number());
-      PSC_RETURN_NOT_OK(Expect(
-          parent == -1 || span_ids.count(parent) > 0,
-          StrCat("span parent ", parent, " not present in the report")));
-    }
-  }
-
-  const JsonValue* queries = document.Find("queries");
-  PSC_RETURN_NOT_OK(Expect(queries != nullptr && queries->is_object(),
-                           "missing queries object"));
-  for (const auto& [name, query] : queries->object()) {
-    const std::string where = StrCat("query '", name, "' ");
-    PSC_RETURN_NOT_OK(
-        Expect(query.is_object(), StrCat(where, "not an object")));
-    const JsonValue* id = query.Find("id");
-    PSC_RETURN_NOT_OK(Expect(id != nullptr && id->is_number(),
-                             StrCat(where, "missing numeric id")));
-    PSC_RETURN_NOT_OK(ValidateInstrumentSections(query, where));
-    for (const char* field : {"spans", "spans_dropped"}) {
-      const JsonValue* member = query.Find(field);
-      PSC_RETURN_NOT_OK(Expect(member != nullptr,
-                               StrCat(where, "missing field '", field, "'")));
-      PSC_RETURN_NOT_OK(ValidateNonNegativeNumber(
-          *member, StrCat(where, "field '", field, "'")));
-    }
-    const JsonValue* trip = query.Find("trip");
-    PSC_RETURN_NOT_OK(Expect(trip != nullptr && trip->is_string(),
-                             StrCat(where, "missing trip string")));
-  }
-  return Status::OK();
-}
-
-Status ValidateRunReportJson(const std::string& json_text) {
-  PSC_ASSIGN_OR_RETURN(const JsonValue document, ParseJson(json_text));
-  return ValidateRunReportJson(document);
-}
-
 }  // namespace obs
 }  // namespace psc

@@ -25,7 +25,8 @@ namespace obs {
 /// v2 (this version): interpolated p50/p90/p95/p99 on histograms, span
 /// records carry `tid` and `scope`, a synthetic `trace.dropped` counter,
 /// and a per-query `queries` section built from the alive obs::Scopes.
-/// Validators accept this version only.
+/// `tools/check_metrics_schema.py` validates reports and accepts this
+/// version only.
 inline constexpr int kRunReportSchemaVersion = 2;
 
 struct RunReport {
@@ -74,17 +75,6 @@ struct RunReport {
 
   Status WriteJsonFile(const std::string& path) const;
 };
-
-/// Validates that `document` is a well-formed run report: required
-/// top-level keys with the right JSON types, non-negative counters,
-/// histogram invariants (count==0 ⇒ sum==0, min ≤ max), span records with
-/// parent ids that either are -1 or reference a span in the report, and
-/// a `queries` section. Rejects every schema_version other than
-/// `kRunReportSchemaVersion`.
-Status ValidateRunReportJson(const JsonValue& document);
-
-/// Parses and validates in one step (convenience for tools/tests).
-Status ValidateRunReportJson(const std::string& json_text);
 
 }  // namespace obs
 }  // namespace psc

@@ -91,7 +91,7 @@ BucketRewriter::BucketRewriter(const SourceCollection* collection)
 }
 
 Result<std::vector<Rewriting>> BucketRewriter::Rewrite(
-    const ConjunctiveQuery& query, uint64_t max_candidates) const {
+    const ConjunctiveQuery& query) const {
   PSC_OBS_SPAN("rewriting.rewrite");
   const std::set<std::string> shared = SharedQueryVariables(query);
   const std::vector<Atom>& subgoals = query.relational_body();
@@ -123,7 +123,7 @@ Result<std::vector<Rewriting>> BucketRewriter::Rewrite(
   std::vector<size_t> choice(subgoals.size(), 0);
   uint64_t visited = 0;
   while (true) {
-    if (++visited > max_candidates) break;
+    if (++visited > kMaxCandidates) break;
     PSC_OBS_COUNTER_INC("rewriting.candidates_tried");
 
     // Assemble the candidate's body atoms (one per usage, deduplicated)
@@ -204,9 +204,9 @@ Result<Relation> BucketRewriter::EvaluateOverExtensions(
 }
 
 Result<Relation> BucketRewriter::AnswerUsingViews(
-    const ConjunctiveQuery& query, uint64_t max_candidates) const {
+    const ConjunctiveQuery& query) const {
   PSC_ASSIGN_OR_RETURN(const std::vector<Rewriting> rewritings,
-                       Rewrite(query, max_candidates));
+                       Rewrite(query));
   Relation answer;
   for (const Rewriting& rewriting : rewritings) {
     PSC_ASSIGN_OR_RETURN(const Relation partial,

@@ -44,21 +44,25 @@ struct Rewriting {
 /// confidence can be assessed with the Section 5 machinery.
 class BucketRewriter {
  public:
+  /// Most bucket combinations `Rewrite` visits; past it, it returns the
+  /// rewritings found so far. The combinations grow as the product of the
+  /// bucket sizes. Stopping early only drops rewritings and never admits an
+  /// uncontained one, so the view-based answer stays a sound lower bound.
+  static constexpr uint64_t kMaxCandidates = 4096;
+
   /// `collection` must outlive the rewriter.
   explicit BucketRewriter(const SourceCollection* collection);
 
   /// \brief Generates all sound rewritings (deduplicated), visiting at
-  /// most `max_candidates` bucket combinations.
-  Result<std::vector<Rewriting>> Rewrite(const ConjunctiveQuery& query,
-                                         uint64_t max_candidates = 4096) const;
+  /// most `kMaxCandidates` bucket combinations.
+  Result<std::vector<Rewriting>> Rewrite(const ConjunctiveQuery& query) const;
 
   /// \brief Evaluates a rewriting over the sources' current extensions.
   Result<Relation> EvaluateOverExtensions(const Rewriting& rewriting) const;
 
   /// \brief Union of all rewritings' answers over the extensions — the
   /// view-based answer to `query`.
-  Result<Relation> AnswerUsingViews(const ConjunctiveQuery& query,
-                                    uint64_t max_candidates = 4096) const;
+  Result<Relation> AnswerUsingViews(const ConjunctiveQuery& query) const;
 
  private:
   const SourceCollection* collection_;

@@ -204,7 +204,9 @@ class Engine {
   std::function<void()> shutdown_notify_ PSC_GUARDED_BY(mutex_);
 
   /// Pool for fanning one answer batch's distinct queries out in a single
-  /// exec pass (solvers keep their own per-call pools).
+  /// exec pass. The solvers those queries call run on the process-wide
+  /// `exec::SharedPool`; this pool stays separate so that a batch's
+  /// queries never queue behind the solver work they start.
   std::unique_ptr<exec::ThreadPool> batch_pool_;
   std::vector<std::thread> dispatchers_;
 };

@@ -31,14 +31,6 @@ class BinomialTable {
   /// The reference stays valid for the table's lifetime.
   const std::vector<BigInt>& Row(int64_t n);
 
-  /// \brief Materializes row `n` ahead of time.
-  ///
-  /// Once every row a computation can touch has been warmed, `Choose` is
-  /// a pure read and one table is safely shared by concurrent workers —
-  /// the parallel counters rely on this instead of rebuilding the large
-  /// rows once per shard.
-  void Warm(int64_t n) { Row(n); }
-
  private:
   std::map<int64_t, std::vector<BigInt>> rows_;
   BigInt zero_;

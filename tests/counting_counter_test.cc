@@ -3,6 +3,8 @@
 #include "gtest/gtest.h"
 #include "psc/counting/confidence.h"
 #include "psc/counting/linear_system.h"
+#include "psc/util/random.h"
+#include "psc/workload/random_collections.h"
 #include "test_util.h"
 
 namespace psc {
@@ -88,6 +90,24 @@ TEST(SignatureCounterTest, MatchesOracleThreeSources) {
                            MakeUnarySource("S2", {2, 3}, "1/2", "1/2"),
                            MakeUnarySource("S3", {3, 4}, "1/3", "1/2")}),
       IntDomain(6));
+}
+
+TEST(SignatureCounterTest, MatchesOracleOnRandomCollections) {
+  // Forty seeded three-source collections, extensions drawn from facts
+  // 0–3, over a 5-constant domain: total and per-fact counts against the
+  // 2^N oracle.
+  Rng rng(4242);
+  RandomIdentityConfig config;
+  config.num_sources = 3;
+  config.universe_size = 4;
+  config.min_extension = 1;
+  config.max_extension = 4;
+  for (int trial = 0; trial < 40; ++trial) {
+    auto collection = MakeRandomIdentityCollection(config, &rng);
+    ASSERT_TRUE(collection.ok());
+    SCOPED_TRACE(collection->ToString());
+    ExpectCounterMatchesOracle(*collection, IntDomain(5));
+  }
 }
 
 TEST(SignatureCounterTest, UnconstrainedCollectionCountsAllSubsets) {

@@ -68,10 +68,18 @@ TEST(LinearSystemTest, BruteForceCountAndConditionalCounts) {
 }
 
 TEST(LinearSystemTest, VariableLimitEnforced) {
+  // One variable past kMaxVariables: both counts refuse before the first
+  // assignment.
+  const int64_t n = static_cast<int64_t>(LinearSystem::kMaxVariables) + 1;
+  const LinearSystem wide = BuildSystem(
+      MakeUnaryCollection({MakeUnarySource("S", {0}, "1/2", "1")}), n);
+  ASSERT_EQ(wide.num_variables(), 31u);
+  EXPECT_EQ(wide.CountSolutionsBruteForce().status().code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(wide.CountSolutionsWithFixed(0, true).status().code(),
+            StatusCode::kResourceExhausted);
   const LinearSystem system = BuildSystem(
       MakeUnaryCollection({MakeUnarySource("S", {0}, "1/2", "1")}), 2);
-  EXPECT_EQ(system.CountSolutionsBruteForce(/*max_vars=*/1).status().code(),
-            StatusCode::kResourceExhausted);
   EXPECT_EQ(system.CountSolutionsWithFixed(5, true).status().code(),
             StatusCode::kInvalidArgument);
 }

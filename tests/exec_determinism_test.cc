@@ -9,7 +9,6 @@
 #include "psc/consistency/general_consistency.h"
 #include "psc/core/query_system.h"
 #include "psc/counting/confidence.h"
-#include "psc/counting/dp_counter.h"
 #include "psc/counting/identity_instance.h"
 #include "psc/counting/model_counter.h"
 #include "psc/exec/thread_pool.h"
@@ -53,39 +52,6 @@ TEST(CountingDeterminismTest, SignatureCounterMatchesSequentialAcrossPools) {
         EXPECT_EQ(parallel.worlds_containing[g],
                   sequential.worlds_containing[g])
             << "seed " << seed << " threads " << threads << " group " << g;
-      }
-    }
-  }
-}
-
-TEST(CountingDeterminismTest, DpCounterMatchesSequentialAcrossPools) {
-  RandomIdentityConfig config;
-  config.num_sources = 3;
-  config.universe_size = 6;
-  for (uint64_t seed = 1; seed <= 25; ++seed) {
-    Rng rng(seed);
-    PSC_ASSERT_OK_AND_ASSIGN(const SourceCollection collection,
-                             MakeRandomIdentityCollection(config, &rng));
-    PSC_ASSERT_OK_AND_ASSIGN(
-        const IdentityInstance instance,
-        IdentityInstance::Create(collection, IntDomain(6)));
-    DpCounter counter(&instance);
-    PSC_ASSERT_OK_AND_ASSIGN(const CountingOutcome sequential,
-                             counter.Count());
-    for (const size_t threads : {2, 4}) {
-      exec::ThreadPool pool(threads);
-      PSC_ASSERT_OK_AND_ASSIGN(
-          const CountingOutcome parallel,
-          counter.Count(uint64_t{1} << 22, &pool));
-      EXPECT_EQ(parallel.world_count, sequential.world_count)
-          << "seed " << seed << " threads " << threads;
-      EXPECT_EQ(parallel.feasible_shapes, sequential.feasible_shapes);
-      EXPECT_EQ(parallel.visited_shapes, sequential.visited_shapes);
-      ASSERT_EQ(parallel.worlds_containing.size(),
-                sequential.worlds_containing.size());
-      for (size_t g = 0; g < sequential.worlds_containing.size(); ++g) {
-        EXPECT_EQ(parallel.worlds_containing[g],
-                  sequential.worlds_containing[g]);
       }
     }
   }

@@ -22,9 +22,9 @@ Usage:
 
 Exits 0 when every report validates (and every required counter is
 present with a positive value, and every required trip reason appears
-on some query, in at least one report), 1 otherwise. This mirrors
-obs::ValidateRunReportJson so CI can check artifacts without
-rebuilding the C++ toolchain.
+on some query, in at least one report), 1 otherwise. This is the
+project's only run-report validator; tools/test_check_metrics_schema.py
+holds its fixtures.
 """
 
 import argparse
@@ -89,8 +89,8 @@ def _validate_instruments(container, where):
     _expect(isinstance(counters, dict), "%smissing counters object" % where)
     for name, value in counters.items():
         _check_prefix(name, "counter", where)
-        _expect(_is_number(value) and value >= 0,
-                "%scounter %r not a non-negative number" % (where, name))
+        _expect(_is_number(value), "%scounter %r not numeric" % (where, name))
+        _expect(value >= 0, "%scounter %r negative" % (where, name))
 
     gauges = container.get("gauges")
     _expect(isinstance(gauges, dict), "%smissing gauges object" % where)
@@ -106,8 +106,11 @@ def _validate_instruments(container, where):
         _expect(isinstance(snapshot, dict),
                 "%shistogram %r not an object" % (where, name))
         for field in HISTOGRAM_FIELDS:
-            _expect(_is_number(snapshot.get(field)) and snapshot[field] >= 0,
-                    "%shistogram %r field %r invalid" % (where, name, field))
+            _expect(field in snapshot, "%shistogram %r missing field %r"
+                    % (where, name, field))
+            _expect(_is_number(snapshot[field]) and snapshot[field] >= 0,
+                    "%shistogram %r field %r not a non-negative number"
+                    % (where, name, field))
         _expect(snapshot["count"] > 0 or snapshot["sum"] == 0,
                 "%shistogram %r has sum without samples" % (where, name))
         _expect(snapshot["min"] <= snapshot["max"],
@@ -119,7 +122,7 @@ def validate_report(report):
     _expect(isinstance(report, dict), "document not an object")
     version = report.get("schema_version")
     _expect(_is_number(version), "missing numeric schema_version")
-    _expect(int(version) == SCHEMA_VERSION,
+    _expect(version == SCHEMA_VERSION,
             "unsupported schema_version %r" % (version,))
 
     _validate_instruments(report, "")

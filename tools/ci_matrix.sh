@@ -13,7 +13,9 @@
 # plus tools/psc_lint.py up front (raw primitives, clocks, metric
 # prefixes, detached threads).
 # All configurations must build warning-free (-Werror) and pass their
-# tests. Sanitizer test selection is label-driven (`ctest -L tsan` /
+# tests, and the PSC_OBS on/off builds must list the run-report schema
+# ctests (metrics_schema_check and the validator's fixture classes).
+# Sanitizer test selection is label-driven (`ctest -L tsan` /
 # `-L asan`; labels declared in tests/CMakeLists.txt). The matrix
 # finishes with a --threads 1 vs --threads 4 CLI
 # output-equivalence smoke check (the parallel runtime's determinism
@@ -40,11 +42,33 @@ echo "=== psc_lint ==="
 python3 tools/psc_lint.py --self-test
 python3 tools/psc_lint.py
 
+# tools/check_metrics_schema.py is the only run-report validator, and its
+# ctests exist only when CMake finds Python: require them by name so a
+# configure without Python cannot drop report validation silently.
+mapfile -t schema_fixtures < <(sed -n \
+  's/^class \([A-Z][A-Za-z0-9]*\)(_FixtureCase):.*/ObsSchemaTest.\1/p' \
+  tools/test_check_metrics_schema.py)
+if [[ ${#schema_fixtures[@]} -eq 0 ]]; then
+  echo "FAIL: no fixture classes found in tools/test_check_metrics_schema.py" >&2
+  exit 1
+fi
+require_schema_tests() {
+  local listing name
+  listing="$(cd "$1" && ctest -N)"
+  for name in metrics_schema_check "${schema_fixtures[@]}"; do
+    if ! grep -qE "Test +#[0-9]+: ${name}\$" <<< "${listing}"; then
+      echo "FAIL: ctest in $1 lacks ${name} (Python not found?)" >&2
+      exit 1
+    fi
+  done
+}
+
 for obs in ON OFF; do
   build_dir="${build_root}/obs-${obs}"
   echo "=== PSC_OBS=${obs} -> ${build_dir} ==="
   cmake -B "${build_dir}" -S . -DPSC_OBS="${obs}" >/dev/null
   cmake --build "${build_dir}" -j "${jobs}"
+  require_schema_tests "${build_dir}"
   (cd "${build_dir}" && ctest --output-on-failure -j "${jobs}")
 done
 
