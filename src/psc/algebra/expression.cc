@@ -7,6 +7,7 @@
 #include <variant>
 
 #include "psc/obs/metrics.h"
+#include "psc/obs/trace.h"
 #include "psc/util/string_util.h"
 
 namespace psc {
@@ -244,6 +245,28 @@ bool Lineage::DerivationTable::Holds(size_t i, const FactBitset& world) const {
   return false;
 }
 
+std::optional<uint32_t> Lineage::DerivationTable::SingleFact(
+    size_t i) const {
+  const uint32_t d = item_begin_[i];
+  if (item_begin_[i + 1] != d + 1 ||
+      derivation_begin_[d + 1] != derivation_begin_[d] + 1) {
+    return std::nullopt;
+  }
+  return ids_[derivation_begin_[d]];
+}
+
+std::optional<std::vector<uint32_t>> Lineage::SingleFacts() const {
+  if (!errors_.empty()) return std::nullopt;
+  std::vector<uint32_t> facts;
+  facts.reserve(tuples_.size());
+  for (size_t i = 0; i < tuples_.size(); ++i) {
+    const std::optional<uint32_t> fact = answers_.SingleFact(i);
+    if (!fact.has_value()) return std::nullopt;
+    facts.push_back(*fact);
+  }
+  return facts;
+}
+
 Status Lineage::ErrorIn(const FactBitset& world) const {
   for (size_t e = 0; e < errors_.size(); ++e) {
     if (error_derivations_.Holds(e, world)) return errors_[e];
@@ -253,6 +276,7 @@ Status Lineage::ErrorIn(const FactBitset& world) const {
 
 Result<Lineage> AlgebraExpr::EvalLineage(
     const std::vector<Fact>& universe) const {
+  PSC_OBS_SPAN("algebra.lineage");
   std::map<std::string, LineageRelation> base;
   for (size_t id = 0; id < universe.size(); ++id) {
     base[universe[id].relation()][universe[id].tuple()].push_back(

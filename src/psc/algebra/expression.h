@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -58,6 +59,12 @@ class Lineage {
   /// derivation of.
   Status ErrorIn(const FactBitset& world) const;
 
+  /// \brief When the lineage holds no plan error and every tuple has
+  /// exactly one derivation, made of one fact: that fact's id per tuple,
+  /// so tuples()[i] ∈ Q(D) iff D holds fact (*SingleFacts())[i], and no
+  /// world fails. nullopt otherwise.
+  std::optional<std::vector<uint32_t>> SingleFacts() const;
+
  private:
   friend class AlgebraExpr;
 
@@ -69,6 +76,9 @@ class Lineage {
    public:
     void Add(const std::vector<Derivation>& derivations);
     bool Holds(size_t i, const FactBitset& world) const;
+    /// The fact id of item i's only derivation when that derivation is
+    /// one fact; nullopt otherwise.
+    std::optional<uint32_t> SingleFact(size_t i) const;
 
    private:
     std::vector<uint32_t> item_begin_{0};

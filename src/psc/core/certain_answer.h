@@ -44,6 +44,13 @@ struct CertainAnswerBound {
 /// enumerates possible worlds, so it works for general views whose world
 /// sets are unbounded.
 ///
+/// The bound assumes poss(S) ≠ ∅. Query answers over an empty poss(S)
+/// are undefined (`QuerySystem::AnswerExact` fails with Inconsistent),
+/// yet a combination whose cardinality constraints no database meets
+/// still yields a tableau, so the bound would list tuples there. Callers
+/// decide consistency first: `psc certain` runs the check `psc check`
+/// runs and fails on INCONSISTENT.
+///
 /// Errors: Inconsistent when every combination is unrealizable;
 /// InvalidArgument for a null plan.
 ///

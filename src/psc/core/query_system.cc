@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <map>
+#include <optional>
 #include <utility>
 
 #include "psc/algebra/plan_compiler.h"
@@ -375,14 +376,13 @@ Result<QueryAnswer> QuerySystem::AnswerMonteCarlo(
   // its samples so far; the merged partial answer is flagged truncated.
   const auto draw_block = [&](size_t block, const auto& answer) {
     Rng rng(MixSeed(seed, block));
-    WorldSampler::DrawBuffer buffer;
-    std::vector<size_t> members;
+    WorldSampler::DrawnWorld world;
     const uint64_t begin = block * kBlockSamples;
     const uint64_t end = std::min(samples, begin + kBlockSamples);
     for (uint64_t i = begin; i < end; ++i) {
       if (!budget.Charge()) return;
-      sampler.Draw(&rng, &members, &buffer);
-      if (!answer(members)) return;
+      sampler.Draw(&rng, &world);
+      if (!answer(world)) return;
     }
   };
   // The first error in sample order wins; counts merge by adding.
@@ -426,20 +426,67 @@ Result<QueryAnswer> QuerySystem::AnswerMonteCarlo(
     }
     PSC_ASSIGN_OR_RETURN(const Lineage lineage, query->EvalLineage(facts));
     const size_t num_tuples = lineage.tuples().size();
+    const auto& groups = instance.groups();
+    const std::optional<std::vector<uint32_t>> single_facts =
+        lineage.SingleFacts();
+    if (single_facts.has_value()) {
+      // Each tuple holds in exactly the worlds that hold its one fact, and
+      // no world fails, so counts come straight from the picks. full[g]
+      // counts the draws that took group g from its left-out side, which
+      // hold every member but the picks; delta[f] adds one per draw that
+      // kept fact f as a pick and subtracts one per draw that left it out.
+      // Fact f is then held in full[group(f)] + delta[f] worlds.
+      PSC_OBS_COUNTER_INC("query.mc_per_fact_calls");
+      const FlatCounts merged = exec::ParallelReduce<FlatCounts>(
+          pool, num_blocks, FlatCounts(&lineage),
+          [&](size_t block) {
+            FlatCounts result(&lineage);
+            std::vector<int64_t> full(groups.size(), 0);
+            std::vector<int64_t> delta(facts.size(), 0);
+            draw_block(block, [&](const WorldSampler::DrawnWorld& world) {
+              for (const auto& drawn : world.groups()) {
+                const std::vector<size_t>& members =
+                    groups[drawn.group].members;
+                int64_t step = 1;
+                if (!drawn.kept) {
+                  ++full[drawn.group];
+                  step = -1;
+                }
+                for (const uint32_t pick : world.picks(drawn)) {
+                  delta[lineage_id[members[pick]]] += step;
+                }
+              }
+              ++result.worlds;
+              return true;
+            });
+            for (size_t a = 0; a < num_tuples; ++a) {
+              const uint32_t fact = (*single_facts)[a];
+              const size_t group = instance.GroupIndexAt(drawable[fact]);
+              result.held[a] =
+                  static_cast<uint64_t>(full[group] + delta[fact]);
+            }
+            return result;
+          },
+          merge, cancel);
+      return finish(merged);
+    }
+    // Otherwise each world is tested against every tuple's derivations.
     const FlatCounts merged = exec::ParallelReduce<FlatCounts>(
         pool, num_blocks, FlatCounts(&lineage),
         [&](size_t block) {
           FlatCounts result(&lineage);
-          FactBitset world(facts.size());
-          draw_block(block, [&](const std::vector<size_t>& members) {
-            for (const size_t id : members) world.Set(lineage_id[id]);
-            result.error = lineage.ErrorIn(world);
+          FactBitset bits(facts.size());
+          std::vector<size_t> members;
+          draw_block(block, [&](const WorldSampler::DrawnWorld& world) {
+            sampler.ListMembers(world, &members);
+            for (const size_t id : members) bits.Set(lineage_id[id]);
+            result.error = lineage.ErrorIn(bits);
             if (!result.error.ok()) return false;
             for (size_t a = 0; a < num_tuples; ++a) {
-              if (lineage.Contains(a, world)) ++result.held[a];
+              if (lineage.Contains(a, bits)) ++result.held[a];
             }
             ++result.worlds;
-            for (const size_t id : members) world.Reset(lineage_id[id]);
+            for (const size_t id : members) bits.Reset(lineage_id[id]);
             return true;
           });
           return result;
@@ -458,7 +505,9 @@ Result<QueryAnswer> QuerySystem::AnswerMonteCarlo(
         BlockCounts result;
         GroupAnswerer answerer(query.get(), &fact_of,
                                instance.universe().size());
-        draw_block(block, [&](const std::vector<size_t>& members) {
+        std::vector<size_t> members;
+        draw_block(block, [&](const WorldSampler::DrawnWorld& world) {
+          sampler.ListMembers(world, &members);
           result.error = answerer.Add(members, &result);
           return result.error.ok();
         });

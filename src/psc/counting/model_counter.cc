@@ -55,11 +55,7 @@ BigInt TimesCount(BigInt value, int64_t k) {
 }
 
 BigInt ToBigInt(const BigInt& value) { return value; }
-BigInt ToBigInt(Uint128 value) {
-  const BigInt limb(uint64_t{1} << 32);
-  return BigInt(static_cast<uint64_t>(value >> 64)) * limb * limb +
-         BigInt(static_cast<uint64_t>(value));
-}
+BigInt ToBigInt(Uint128 value) { return BigInt::FromUint128(value); }
 
 /// C(n, 0..n) in 128-bit arithmetic, by C(n, k+1) = C(n, k)·(n−k)/(k+1).
 /// Exact for n ≤ kMax128BitUniverseFacts: C(n, k)·(n−k) ≤ n·2^n < 2^128.
@@ -71,6 +67,20 @@ std::vector<Uint128> BinomialRow128(int64_t n) {
                  static_cast<Uint128>(k + 1);
   }
   return row;
+}
+
+/// Each group's row in 128-bit arithmetic, kept in `owned`.
+std::vector<const std::vector<Uint128>*> Uint128Rows(
+    const IdentityInstance& instance,
+    std::vector<std::vector<Uint128>>* owned) {
+  owned->clear();
+  owned->reserve(instance.groups().size());
+  std::vector<const std::vector<Uint128>*> rows;
+  for (const auto& group : instance.groups()) {
+    owned->push_back(BinomialRow128(group.size));
+    rows.push_back(&owned->back());
+  }
+  return rows;
 }
 
 /// C(n, k) without a row: C(n−k+j, j) = C(n−k+j−1, j−1)·(n−k+j)/j for
@@ -462,15 +472,9 @@ Result<CountingOutcome> SignatureCounter::Count(exec::ThreadPool* pool,
     outcome.visited_shapes = 1;
   } else if (instance_->universe().size() <= kMax128BitUniverseFacts) {
     std::vector<std::vector<Uint128>> owned;
-    std::vector<const std::vector<Uint128>*> rows;
-    owned.reserve(instance_->groups().size());
-    for (const auto& group : instance_->groups()) {
-      owned.push_back(BinomialRow128(group.size));
-      rows.push_back(&owned.back());
-    }
-    PSC_ASSIGN_OR_RETURN(outcome, CountRuns<Uint128>(*instance_, rows,
-                                                     suffix_max_, pool,
-                                                     budget));
+    PSC_ASSIGN_OR_RETURN(
+        outcome, CountRuns<Uint128>(*instance_, Uint128Rows(*instance_, &owned),
+                                    suffix_max_, pool, budget));
   } else {
     PSC_ASSIGN_OR_RETURN(
         outcome,
@@ -500,6 +504,60 @@ Result<std::vector<WorldShape>> SignatureCounter::FeasibleShapes(
         StrCat("more than ", kMaxStoredShapes, " feasible shapes"));
   }
   return shapes;
+}
+
+namespace {
+
+/// Appends each feasible shape's counts to `counts` and its running
+/// weight total, in `Num` arithmetic, to `cumulative`; false when more
+/// than `kMaxStoredShapes` are feasible.
+template <typename Num>
+Result<bool> FillShapeTable(
+    const IdentityInstance& instance,
+    std::vector<const std::vector<Num>*> rows,
+    const std::vector<std::vector<int64_t>>& suffix_max,
+    const limits::Budget& budget, std::vector<int64_t>* counts,
+    std::vector<Num>* cumulative) {
+  ShapeEnumerator<Num> enumerator(instance, std::move(rows), suffix_max,
+                                  budget);
+  Num total{};
+  return enumerator.ForEachShape(
+      [&](const std::vector<int64_t>& shape, const Num& weight) {
+        if (cumulative->size() == SignatureCounter::kMaxStoredShapes) {
+          return false;
+        }
+        counts->insert(counts->end(), shape.begin(), shape.end());
+        total += weight;
+        cumulative->push_back(total);
+        return true;
+      });
+}
+
+}  // namespace
+
+Result<ShapeTable> SignatureCounter::FeasibleShapeTable(
+    const limits::Budget& budget) {
+  ShapeTable table;
+  bool completed = false;
+  if (instance_->universe().size() <= kMax128BitUniverseFacts) {
+    std::vector<std::vector<Uint128>> owned;
+    PSC_ASSIGN_OR_RETURN(
+        completed,
+        FillShapeTable<Uint128>(*instance_, Uint128Rows(*instance_, &owned),
+                                suffix_max_, budget, &table.counts,
+                                &table.cumulative_128));
+  } else {
+    PSC_ASSIGN_OR_RETURN(
+        completed,
+        FillShapeTable<BigInt>(*instance_, BigIntRows(*instance_, binomials_),
+                               suffix_max_, budget, &table.counts,
+                               &table.cumulative));
+  }
+  if (!completed) {
+    return Status::ResourceExhausted(
+        StrCat("more than ", kMaxStoredShapes, " feasible shapes"));
+  }
+  return table;
 }
 
 Result<std::optional<WorldShape>> SignatureCounter::FirstFeasibleShape(

@@ -26,6 +26,23 @@ struct WorldShape {
   BigInt weight;
 };
 
+/// \brief The feasible shapes in `SignatureCounter::FeasibleShapes`' order,
+/// as flat arrays for sampling.
+struct ShapeTable {
+  /// Shape i's count vector is counts[i·G, (i+1)·G) over the G groups.
+  std::vector<int64_t> counts;
+  /// Σ_{j ≤ i} weight_j per shape i, in the number type `Count` sums in:
+  /// `cumulative_128` for universes of at most
+  /// `SignatureCounter::kMax128BitUniverseFacts` facts, `cumulative`
+  /// otherwise. The other one stays empty.
+  std::vector<unsigned __int128> cumulative_128;
+  std::vector<BigInt> cumulative;
+
+  size_t num_shapes() const {
+    return cumulative_128.empty() ? cumulative.size() : cumulative_128.size();
+  }
+};
+
 /// \brief The result of an exact count of poss(S).
 struct CountingOutcome {
   /// N_sol(Γ) = |poss(S)| over the instance's universe.
@@ -87,8 +104,8 @@ class SignatureCounter {
                                 const limits::Budget& budget =
                                     limits::Budget());
 
-  /// Most feasible shapes `FeasibleShapes` holds in memory: each one
-  /// stores a count vector and a BigInt weight.
+  /// Most feasible shapes `FeasibleShapes` and `FeasibleShapeTable` hold
+  /// in memory: each one stores a count vector and a weight.
   static constexpr uint64_t kMaxStoredShapes = uint64_t{1} << 22;
 
   /// \brief Enumerates the feasible shapes themselves, in lexicographic
@@ -97,6 +114,12 @@ class SignatureCounter {
   /// `kMaxStoredShapes` are feasible, and with `budget.ToStatus()` when
   /// the budget trips (charged as `Count` charges).
   Result<std::vector<WorldShape>> FeasibleShapes(
+      const limits::Budget& budget = limits::Budget());
+
+  /// \brief The shapes `FeasibleShapes` returns, by the same walk with the
+  /// same budget charges, cap and error, with cumulative weights in place
+  /// of per-shape BigInt weights (see `ShapeTable`).
+  Result<ShapeTable> FeasibleShapeTable(
       const limits::Budget& budget = limits::Budget());
 
   /// \brief Stops at the first feasible shape — a constructive consistency

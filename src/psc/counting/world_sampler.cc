@@ -5,21 +5,26 @@
 #include <utility>
 
 #include "psc/obs/metrics.h"
+#include "psc/obs/trace.h"
 #include "psc/util/combinatorics.h"
 
 namespace psc {
 
-WorldSampler::WorldSampler(const IdentityInstance* instance,
-                           std::vector<WorldShape> shapes,
-                           std::vector<BigInt> cumulative, BigInt total)
-    : instance_(instance),
-      shapes_(std::move(shapes)),
-      cumulative_(std::move(cumulative)),
-      total_(std::move(total)) {
+WorldSampler::WorldSampler(const IdentityInstance* instance, ShapeTable table)
+    : instance_(instance), table_(std::move(table)) {
+  if (!table_.cumulative_128.empty()) {
+    total_128_ = table_.cumulative_128.back();
+    total_ = BigInt::FromUint128(total_128_);
+  } else if (!table_.cumulative.empty()) {
+    total_ = table_.cumulative.back();
+  }
+  const size_t num_groups = instance_->groups().size();
   min_world_size_ = std::numeric_limits<size_t>::max();
-  for (const WorldShape& shape : shapes_) {
+  for (size_t shape = 0; shape < num_shapes(); ++shape) {
     int64_t facts = 0;
-    for (const int64_t count : shape.counts) facts += count;
+    for (size_t g = 0; g < num_groups; ++g) {
+      facts += table_.counts[shape * num_groups + g];
+    }
     min_world_size_ = std::min(min_world_size_, static_cast<size_t>(facts));
   }
 }
@@ -27,45 +32,47 @@ WorldSampler::WorldSampler(const IdentityInstance* instance,
 Result<WorldSampler> WorldSampler::Create(const IdentityInstance* instance,
                                           const limits::Budget& budget) {
   PSC_CHECK(instance != nullptr);
+  PSC_OBS_SPAN("counting.sampler_build");
   BinomialTable binomials;
   SignatureCounter counter(instance, &binomials);
-  PSC_ASSIGN_OR_RETURN(std::vector<WorldShape> shapes,
-                       counter.FeasibleShapes(budget));
-  std::vector<BigInt> cumulative;
-  cumulative.reserve(shapes.size());
-  BigInt total;
-  for (const WorldShape& shape : shapes) {
-    total += shape.weight;
-    cumulative.push_back(total);
-  }
-  if (total.IsZero()) {
+  PSC_ASSIGN_OR_RETURN(ShapeTable table, counter.FeasibleShapeTable(budget));
+  WorldSampler sampler(instance, std::move(table));
+  if (sampler.total_.IsZero()) {
     return Status::Inconsistent(
         "poss(S) is empty: cannot sample possible worlds");
   }
-  return WorldSampler(instance, std::move(shapes), std::move(cumulative),
-                      std::move(total));
+  return sampler;
 }
 
-void WorldSampler::Draw(Rng* rng, std::vector<size_t>* members,
-                        DrawBuffer* buffer) const {
-  PSC_CHECK(rng != nullptr && members != nullptr && buffer != nullptr);
-  PSC_OBS_COUNTER_INC("counting.sampler_draws");
-  const BigInt target = BigInt::RandomBelow(total_, rng->engine());
-  // First shape whose cumulative weight exceeds `target`.
-  const auto it = std::upper_bound(cumulative_.begin(), cumulative_.end(),
-                                   target);
-  PSC_CHECK(it != cumulative_.end());
-  const WorldShape& shape =
-      shapes_[static_cast<size_t>(it - cumulative_.begin())];
+size_t WorldSampler::DrawShape(std::mt19937_64& engine) const {
+  // First shape whose cumulative weight exceeds the target.
+  const auto search = [](const auto& cumulative, const auto& target) {
+    const auto it = std::upper_bound(cumulative.begin(), cumulative.end(),
+                                     target);
+    PSC_CHECK(it != cumulative.end());
+    return static_cast<size_t>(it - cumulative.begin());
+  };
+  if (!table_.cumulative_128.empty()) {
+    return search(table_.cumulative_128,
+                  BigInt::RandomBelow128(total_128_, engine));
+  }
+  return search(table_.cumulative, BigInt::RandomBelow(total_, engine));
+}
 
-  members->clear();
-  std::vector<char>& marked = buffer->marked_;
-  std::vector<size_t>& picks = buffer->picks_;
+void WorldSampler::Draw(Rng* rng, DrawnWorld* world) const {
+  PSC_CHECK(rng != nullptr && world != nullptr);
+  PSC_OBS_COUNTER_INC("counting.sampler_draws");
   const auto& groups = instance_->groups();
+  const int64_t* counts =
+      table_.counts.data() + DrawShape(rng->engine()) * groups.size();
+
+  world->groups_.clear();
+  std::vector<uint32_t>& picks = world->picks_;
+  std::vector<char>& marked = world->marked_;
+  picks.clear();
   for (size_t g = 0; g < groups.size(); ++g) {
-    const IdentityInstance::Group& group = groups[g];
-    const int64_t n = group.size;
-    const int64_t k = shape.counts[g];
+    const int64_t n = groups[g].size;
+    const int64_t k = counts[g];
     if (k == 0) continue;
     // Floyd over the smaller side: a uniform subset of the kept members,
     // or of the left-out ones, whose complement is then uniform too.
@@ -74,32 +81,44 @@ void WorldSampler::Draw(Rng* rng, std::vector<size_t>* members,
     if (marked.size() < static_cast<size_t>(n)) {
       marked.resize(static_cast<size_t>(n), 0);
     }
-    picks.clear();
+    const size_t begin = picks.size();
     for (int64_t j = n - side; j < n; ++j) {
       const int64_t t = rng->UniformInt(0, j);
-      const size_t pick =
-          static_cast<size_t>(marked[static_cast<size_t>(t)] == 0 ? t : j);
+      const uint32_t pick =
+          static_cast<uint32_t>(marked[static_cast<size_t>(t)] == 0 ? t : j);
       marked[pick] = 1;
       picks.push_back(pick);
     }
-    if (keep) {
-      for (const size_t pick : picks) {
-        members->push_back(group.members[pick]);
-        marked[pick] = 0;
-      }
+    for (size_t p = begin; p < picks.size(); ++p) marked[picks[p]] = 0;
+    world->groups_.push_back({g, keep, begin, picks.size()});
+  }
+}
+
+void WorldSampler::ListMembers(const DrawnWorld& world,
+                               std::vector<size_t>* members) const {
+  PSC_CHECK(members != nullptr);
+  members->clear();
+  std::vector<char>& marked = world.marked_;
+  for (const DrawnWorld::GroupPicks& drawn : world.groups()) {
+    const std::vector<size_t>& group = instance_->groups()[drawn.group].members;
+    const std::span<const uint32_t> picks = world.picks(drawn);
+    if (drawn.kept) {
+      for (const uint32_t pick : picks) members->push_back(group[pick]);
       continue;
     }
-    for (size_t i = 0; i < group.members.size(); ++i) {
-      if (marked[i] == 0) members->push_back(group.members[i]);
+    for (const uint32_t pick : picks) marked[pick] = 1;
+    for (size_t i = 0; i < group.size(); ++i) {
+      if (marked[i] == 0) members->push_back(group[i]);
     }
-    for (const size_t pick : picks) marked[pick] = 0;
+    for (const uint32_t pick : picks) marked[pick] = 0;
   }
 }
 
 Database WorldSampler::Sample(Rng* rng) const {
+  DrawnWorld world;
+  Draw(rng, &world);
   std::vector<size_t> members;
-  DrawBuffer buffer;
-  Draw(rng, &members, &buffer);
+  ListMembers(world, &members);
   return instance_->World(members);
 }
 
@@ -107,9 +126,10 @@ std::vector<size_t> WorldSampler::DrawableFacts() const {
   const auto& groups = instance_->groups();
   std::vector<size_t> facts;
   for (size_t g = 0; g < groups.size(); ++g) {
-    const bool drawn = std::any_of(
-        shapes_.begin(), shapes_.end(),
-        [g](const WorldShape& shape) { return shape.counts[g] > 0; });
+    bool drawn = false;
+    for (size_t shape = 0; shape < num_shapes() && !drawn; ++shape) {
+      drawn = table_.counts[shape * groups.size() + g] > 0;
+    }
     if (drawn) {
       facts.insert(facts.end(), groups[g].members.begin(),
                    groups[g].members.end());

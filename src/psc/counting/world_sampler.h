@@ -1,6 +1,8 @@
 #ifndef PSC_COUNTING_WORLD_SAMPLER_H_
 #define PSC_COUNTING_WORLD_SAMPLER_H_
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "psc/counting/identity_instance.h"
@@ -15,16 +17,21 @@ namespace psc {
 
 /// \brief Exact uniform sampler over poss(S) for identity-view instances.
 ///
-/// Built from the enumerated feasible world shapes: a shape is drawn with
-/// probability proportional to its exact BigInt weight (via rejection-free
-/// prefix search on a uniformly random BigInt), then within each group a
-/// uniformly random k_g-subset of the group's tuples is chosen. The result
-/// is an exactly uniform draw from poss(S) — the substrate for Monte-Carlo
-/// estimation of query confidences (experiments E5/E8) when exact
-/// per-query computation is infeasible.
+/// Built from the enumerated feasible world shapes, held as one flat count
+/// table and one array of cumulative weights in the number type
+/// `SignatureCounter::Count` sums in (`unsigned __int128` for universes of
+/// at most `SignatureCounter::kMax128BitUniverseFacts` facts, `BigInt`
+/// otherwise). A shape is drawn with probability proportional to its exact
+/// weight ∏_g C(n_g, k_g), by a prefix search on a uniformly random target
+/// below the total; both number types draw that target with the engine
+/// calls of `BigInt::RandomBelow`, so they pick the same shape. Then within
+/// each group a uniformly random k_g-subset of the group's tuples is
+/// chosen. The result is an exactly uniform draw from poss(S) — the
+/// substrate for Monte-Carlo estimation of query confidences (experiments
+/// E5/E8) when exact per-query computation is infeasible.
 class WorldSampler {
  public:
-  /// Enumerates feasible shapes (see `SignatureCounter::FeasibleShapes`;
+  /// Enumerates feasible shapes (see `SignatureCounter::FeasibleShapeTable`;
   /// `budget` is charged one node per count-vector tree node) and
   /// prepares cumulative weights. Fails with Inconsistent when poss(S) is
   /// empty, and with `budget.ToStatus()` when the budget trips.
@@ -32,26 +39,52 @@ class WorldSampler {
                                      const limits::Budget& budget =
                                          limits::Budget());
 
-  /// Scratch space that a run of draws on one thread reuses.
-  class DrawBuffer {
+  /// \brief One draw, recorded as each group's Floyd picks, with the
+  /// scratch space a run of draws on one thread reuses.
+  class DrawnWorld {
+   public:
+    /// The picks of one group the world takes facts from: positions in
+    /// the group's `members`. With `kept` they are the members the world
+    /// holds; otherwise they are the members it leaves out, and it holds
+    /// every other member of the group.
+    struct GroupPicks {
+      size_t group = 0;
+      bool kept = false;
+      /// The picks are picks_[begin, end).
+      size_t begin = 0;
+      size_t end = 0;
+    };
+
+    /// The groups the world takes a fact from, in group order.
+    const std::vector<GroupPicks>& groups() const { return groups_; }
+    std::span<const uint32_t> picks(const GroupPicks& group) const {
+      return std::span<const uint32_t>(picks_).subspan(
+          group.begin, group.end - group.begin);
+    }
+
    private:
     friend class WorldSampler;
+    std::vector<GroupPicks> groups_;
+    std::vector<uint32_t> picks_;
     /// One mark per member of the largest group drawn from so far; all
-    /// clear between draws.
-    std::vector<char> marked_;
-    /// Positions in the group that a draw marked.
-    std::vector<size_t> picks_;
+    /// clear between calls. Listing a world's members marks its left-out
+    /// picks too.
+    mutable std::vector<char> marked_;
   };
 
-  /// \brief Exact-uniform draw from poss(S): replaces `*members` with the
-  /// world's facts as indices into the instance's universe.
+  /// \brief Exact-uniform draw from poss(S), recorded in `*world`.
   ///
   /// Each group draws from its smaller side: Floyd's algorithm picks the
   /// k_g members the world keeps, or the n_g − k_g it leaves out when
-  /// those are fewer, so a world holding most of its universe costs about
-  /// one RNG call per fact it lacks.
-  void Draw(Rng* rng, std::vector<size_t>* members,
-            DrawBuffer* buffer) const;
+  /// those are fewer, so a draw costs about one RNG call per pick, never
+  /// the world's size.
+  void Draw(Rng* rng, DrawnWorld* world) const;
+
+  /// \brief Replaces `*members` with the facts of a drawn world as indices
+  /// into the instance's universe: per group, the kept picks in draw order,
+  /// or every member but the left-out picks in group order.
+  void ListMembers(const DrawnWorld& world,
+                   std::vector<size_t>* members) const;
 
   /// The same draw as `Draw` (same RNG use), materialized as a database
   /// over the instance's relation.
@@ -67,17 +100,20 @@ class WorldSampler {
 
   /// |poss(S)| over the instance's universe.
   const BigInt& world_count() const { return total_; }
-  size_t num_shapes() const { return shapes_.size(); }
+  size_t num_shapes() const { return table_.num_shapes(); }
 
  private:
-  WorldSampler(const IdentityInstance* instance,
-               std::vector<WorldShape> shapes,
-               std::vector<BigInt> cumulative, BigInt total);
+  WorldSampler(const IdentityInstance* instance, ShapeTable table);
+
+  /// The index of a shape drawn with probability proportional to its
+  /// weight: the first whose cumulative weight exceeds a uniformly random
+  /// target below the total.
+  size_t DrawShape(std::mt19937_64& engine) const;
 
   const IdentityInstance* instance_;
-  std::vector<WorldShape> shapes_;
-  /// cumulative_[i] = Σ_{j ≤ i} shapes_[j].weight.
-  std::vector<BigInt> cumulative_;
+  ShapeTable table_;
+  /// The total weight in the table's number type, and as a BigInt.
+  unsigned __int128 total_128_ = 0;
   BigInt total_;
   size_t min_world_size_ = 0;
 };

@@ -213,6 +213,37 @@ BigInt BigInt::RandomBelow(const BigInt& bound, std::mt19937_64& engine) {
   }
 }
 
+unsigned __int128 BigInt::RandomBelow128(unsigned __int128 bound,
+                                         std::mt19937_64& engine) {
+  PSC_CHECK_MSG(bound != 0, "BigInt::RandomBelow128: zero bound");
+  const uint64_t high = static_cast<uint64_t>(bound >> 64);
+  const uint64_t low = static_cast<uint64_t>(bound);
+  const int bits =
+      high != 0 ? 128 - __builtin_clzll(high) : 64 - __builtin_clzll(low);
+  const int limbs = (bits + 31) / 32;
+  const int top_bits = bits - (limbs - 1) * 32;
+  const uint32_t top_mask =
+      top_bits >= 32 ? 0xffffffffu : ((uint32_t{1} << top_bits) - 1);
+  while (true) {
+    unsigned __int128 candidate = 0;
+    for (int i = 0; i < limbs; ++i) {
+      uint32_t limb = static_cast<uint32_t>(engine());
+      if (i + 1 == limbs) limb &= top_mask;
+      candidate |= static_cast<unsigned __int128>(limb) << (32 * i);
+    }
+    if (candidate < bound) return candidate;
+  }
+}
+
+BigInt BigInt::FromUint128(unsigned __int128 value) {
+  BigInt result;
+  while (value != 0) {
+    result.limbs_.push_back(static_cast<uint32_t>(value));
+    value >>= 32;
+  }
+  return result;
+}
+
 int BigInt::BitLength() const {
   if (IsZero()) return 0;
   int bits = (static_cast<int>(limbs_.size()) - 1) * 32;

@@ -82,7 +82,19 @@ class BigInt {
 
   /// \brief Uniformly random value in [0, bound) via rejection sampling.
   /// Aborts if `bound` is zero. Used for exact-uniform world sampling.
+  ///
+  /// Each try takes one engine call per 32-bit limb of `bound`, least
+  /// significant first, masks the top limb to `bound`'s bit length, and is
+  /// rejected unless below `bound`.
   static BigInt RandomBelow(const BigInt& bound, std::mt19937_64& engine);
+
+  /// \brief `RandomBelow` for a bound that fits 128 bits, in 128-bit
+  /// arithmetic: the same engine calls, so from the same engine state it
+  /// returns the same value. Aborts if `bound` is zero.
+  static unsigned __int128 RandomBelow128(unsigned __int128 bound,
+                                          std::mt19937_64& engine);
+
+  static BigInt FromUint128(unsigned __int128 value);
 
   /// True iff the value fits in uint64; `ToUint64` aborts otherwise.
   bool FitsUint64() const { return limbs_.size() <= 2; }

@@ -6,8 +6,10 @@
 #include <set>
 
 #include "gtest/gtest.h"
+#include "psc/counting/model_counter.h"
 #include "psc/counting/world_enumerator.h"
 #include "psc/source/measures.h"
+#include "psc/workload/cache_workload.h"
 #include "test_util.h"
 
 namespace psc {
@@ -105,10 +107,11 @@ TEST(WorldSamplerTest, SmallerSideDrawsAreUniformOverPossibleWorlds) {
   std::vector<int64_t> hits(index_of.size(), 0);
   Rng draw_rng(2024);
   Rng sample_rng(2024);
-  WorldSampler::DrawBuffer buffer;
+  WorldSampler::DrawnWorld world;
   std::vector<size_t> members;
   for (int i = 0; i < kDraws; ++i) {
-    sampler->Draw(&draw_rng, &members, &buffer);
+    sampler->Draw(&draw_rng, &world);
+    sampler->ListMembers(world, &members);
     if (i < 2000) {
       // Sample makes the same RNG use and holds exactly Draw's facts.
       Relation drawn;
@@ -129,6 +132,85 @@ TEST(WorldSamplerTest, SmallerSideDrawsAreUniformOverPossibleWorlds) {
   }
   EXPECT_GE(ChiSquareSurvival(chi_square, 55), 1e-6)
       << "chi-square " << chi_square << " over 55 degrees of freedom";
+}
+
+/// Per-group counts of a drawn world, read off its record.
+std::vector<int64_t> DrawnCounts(const IdentityInstance& instance,
+                                 const WorldSampler::DrawnWorld& world) {
+  std::vector<int64_t> counts(instance.groups().size(), 0);
+  for (const WorldSampler::DrawnWorld::GroupPicks& drawn : world.groups()) {
+    const int64_t picks = static_cast<int64_t>(world.picks(drawn).size());
+    counts[drawn.group] =
+        drawn.kept ? picks : instance.groups()[drawn.group].size - picks;
+  }
+  return counts;
+}
+
+TEST(WorldSamplerTest, DrawsPickTheShapesOfBigIntWeights) {
+  // Cache fleets over domains padded with constants no cache lists, to
+  // universes on both sides of the 128-bit bound: every draw must pick
+  // the shape a BigInt target over FeasibleShapes' weights picks.
+  for (const int64_t facts : {100, 111, 121, 122, 160}) {
+    CacheConfig config;
+    config.num_objects = 50;
+    config.num_caches = 3;
+    config.coverage = 0.6;
+    config.staleness = 0.2;
+    config.seed = static_cast<uint64_t>(facts);
+    PSC_ASSERT_OK_AND_ASSIGN(const CacheWorkload workload,
+                             MakeCacheWorkload(config));
+    std::vector<Value> domain = workload.collection.MentionedConstants();
+    ASSERT_LT(static_cast<int64_t>(domain.size()), facts);
+    for (int64_t extra = 1000;
+         static_cast<int64_t>(domain.size()) < facts; ++extra) {
+      domain.emplace_back(extra);
+    }
+    PSC_ASSERT_OK_AND_ASSIGN(
+        const IdentityInstance instance,
+        IdentityInstance::Create(workload.collection, domain));
+    ASSERT_EQ(static_cast<int64_t>(instance.universe().size()), facts);
+    PSC_ASSERT_OK_AND_ASSIGN(const WorldSampler sampler,
+                             WorldSampler::Create(&instance));
+
+    BinomialTable binomials;
+    SignatureCounter counter(&instance, &binomials);
+    PSC_ASSERT_OK_AND_ASSIGN(const std::vector<WorldShape> shapes,
+                             counter.FeasibleShapes());
+    ASSERT_EQ(sampler.num_shapes(), shapes.size());
+    ASSERT_GT(shapes.size(), 100u) << facts;
+    std::vector<BigInt> cumulative;
+    BigInt total;
+    for (const WorldShape& shape : shapes) {
+      total += shape.weight;
+      cumulative.push_back(total);
+    }
+    EXPECT_EQ(sampler.world_count(), total);
+
+    Rng rng(facts);
+    Rng reference(facts);
+    WorldSampler::DrawnWorld world;
+    for (int i = 0; i < 10000; ++i) {
+      sampler.Draw(&rng, &world);
+      const BigInt target = BigInt::RandomBelow(total, reference.engine());
+      const WorldShape& shape =
+          shapes[static_cast<size_t>(
+              std::upper_bound(cumulative.begin(), cumulative.end(),
+                               target) -
+              cumulative.begin())];
+      ASSERT_EQ(DrawnCounts(instance, world), shape.counts)
+          << facts << " facts, draw " << i;
+      // The same RNG use as the sampler's Floyd picks: one call per pick
+      // on each group's smaller side.
+      for (size_t g = 0; g < shape.counts.size(); ++g) {
+        const int64_t n = instance.groups()[g].size;
+        const int64_t k = shape.counts[g];
+        if (k == 0) continue;
+        for (int64_t j = n - std::min(k, n - k); j < n; ++j) {
+          reference.UniformInt(0, j);
+        }
+      }
+    }
+  }
 }
 
 TEST(WorldSamplerTest, SamplesAreAlwaysPossibleWorlds) {

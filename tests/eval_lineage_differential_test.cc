@@ -20,6 +20,7 @@
 #include "psc/consistency/possible_worlds.h"
 #include "psc/core/query_system.h"
 #include "psc/counting/identity_instance.h"
+#include "psc/counting/model_counter.h"
 #include "psc/counting/world_enumerator.h"
 #include "psc/counting/world_sampler.h"
 #include "psc/obs/metrics.h"
@@ -501,6 +502,154 @@ TEST(LineageDifferentialTest, DenseCacheFleetBuildsOneLineagePerCall) {
         estimate, at);
     EXPECT_EQ(TuplesProduced() - before, one_build) << at;
   }
+}
+
+/// Monte-Carlo calls answered by per-fact counts in this process so far;
+/// 0 without the observability build.
+uint64_t PerFactCalls() {
+#if PSC_OBS_ENABLED
+  return obs::GlobalMetrics().CounterValue("query.mc_per_fact_calls");
+#else
+  return 0;
+#endif
+}
+
+/// Expects Monte-Carlo answers of `plan` to equal the per-world oracle's
+/// at every thread count, and each call to count per fact iff
+/// `per_fact`: 192 samples in three blocks, and 60 samples in one block
+/// that a node budget cuts to 40 (one block, so the cut is the same at
+/// every thread count).
+void ExpectMonteCarloMatchesOracle(const SourceCollection& collection,
+                                   const std::vector<Value>& domain,
+                                   const AlgebraExprPtr& plan, bool per_fact,
+                                   const std::string& label) {
+  ASSERT_TRUE(OneLineagePerCall(collection, domain)) << label;
+  PSC_ASSERT_OK_AND_ASSIGN(const IdentityInstance instance,
+                           IdentityInstance::Create(collection, domain));
+  const limits::Budget build = CountingBudget();
+  ASSERT_TRUE(WorldSampler::Create(&instance, build).ok()) << label;
+  const uint64_t node_budget = build.nodes_charged() + 40;
+  const auto full = OracleMonteCarlo(collection, plan, domain, 192, 13, 0);
+  const auto cut =
+      OracleMonteCarlo(collection, plan, domain, 60, 13, node_budget);
+  if (cut.ok()) {
+    EXPECT_TRUE(cut->truncated) << label;
+    EXPECT_EQ(cut->worlds_used, 40u) << label;
+  }
+  for (const size_t threads : kThreadCounts) {
+    const std::string at = label + " threads " + std::to_string(threads);
+    const uint64_t before = PerFactCalls();
+    ExpectSameAnswer(
+        MakeSystem(collection, threads).AnswerMonteCarlo(plan, domain, 192, 13),
+        full, at);
+    ExpectSameAnswer(MakeSystem(collection, threads, node_budget)
+                         .AnswerMonteCarlo(plan, domain, 60, 13),
+                     cut, at + " node budget");
+    if (PSC_OBS_ENABLED) {
+      EXPECT_EQ(PerFactCalls() - before, per_fact ? 2u : 0u) << at;
+    }
+  }
+}
+
+CacheWorkload DenseFleet(int64_t objects, int64_t caches) {
+  CacheConfig config;
+  config.num_objects = objects;
+  config.num_caches = caches;
+  config.coverage = 0.9;
+  config.staleness = 0.05;
+  config.seed = 5;
+  auto workload = MakeCacheWorkload(config);
+  EXPECT_TRUE(workload.ok()) << workload.status().ToString();
+  return std::move(workload).ValueOrDie();
+}
+
+TEST(LineageDifferentialTest, PerFactCountsMatchOracleOnDenseFleets) {
+  // Every tuple of Ans(x) <- Object(x) is derived by its one fact, so the
+  // calls count per fact: over a 128-bit shape table (3 x 40 objects)
+  // and over a BigInt one (2 x 150).
+  PSC_ASSERT_OK_AND_ASSIGN(const ConjunctiveQuery query,
+                           ParseQuery("Ans(x) <- Object(x)"));
+  PSC_ASSERT_OK_AND_ASSIGN(const AlgebraExprPtr plan, CompileQuery(query));
+  for (const auto& [objects, caches] :
+       {std::pair<int64_t, int64_t>{40, 3}, {150, 2}}) {
+    const CacheWorkload fleet = DenseFleet(objects, caches);
+    const std::vector<Value> domain = fleet.collection.MentionedConstants();
+    PSC_ASSERT_OK_AND_ASSIGN(
+        const IdentityInstance instance,
+        IdentityInstance::Create(fleet.collection, domain));
+    const size_t facts = instance.universe().size();
+    EXPECT_EQ(facts <= SignatureCounter::kMax128BitUniverseFacts,
+              caches == 3)
+        << facts;
+    ExpectMonteCarloMatchesOracle(fleet.collection, domain, plan,
+                                  /*per_fact=*/true,
+                                  std::to_string(caches) + " x " +
+                                      std::to_string(objects));
+  }
+}
+
+/// A dense collection over a binary R: every world lies inside A's 30
+/// facts and keeps at least 24 of them. x = 0..9 appear with two second
+/// columns, so π₀ derives each of them from either of two facts.
+SourceCollection DenseBinaryCollection() {
+  std::string a_facts;
+  std::string b_facts;
+  for (int x = 0; x < 20; ++x) {
+    a_facts += (x == 0 ? "" : ", ") + std::string("V(") + std::to_string(x) +
+               ", " + std::to_string(x % 4) + ")";
+    if (x < 10) {
+      a_facts += ", V(" + std::to_string(x) + ", " +
+                 std::to_string((x + 1) % 4 + 4) + ")";
+    }
+    if (x % 2 == 0) {
+      b_facts += (x == 0 ? "" : ", ") + std::string("W(") +
+                 std::to_string(x) + ", " + std::to_string(x % 4) + ")";
+    }
+  }
+  auto collection = ParseCollection(
+      "source A {\n"
+      "  view: V(x, y) <- R(x, y)\n"
+      "  completeness: 1\n"
+      "  soundness: 4/5\n"
+      "  facts: " + a_facts + "\n"
+      "}\n"
+      "source B {\n"
+      "  view: W(x, y) <- R(x, y)\n"
+      "  completeness: 1/4\n"
+      "  soundness: 1/2\n"
+      "  facts: " + b_facts + "\n"
+      "}\n");
+  EXPECT_TRUE(collection.ok()) << collection.status().ToString();
+  return std::move(collection).ValueOrDie();
+}
+
+TEST(LineageDifferentialTest, PerWorldTestsMatchOracleOnDenseCollection) {
+  // Several derivations per tuple, or a plan error, keep the per-world
+  // test on the one-lineage path.
+  const SourceCollection collection = DenseBinaryCollection();
+  const std::vector<Value> domain = collection.MentionedConstants();
+  const AlgebraExprPtr r = AlgebraExpr::Base("R", 2);
+  const AlgebraExprPtr projection = AlgebraExpr::Project(r, {0});
+  EXPECT_TRUE(OracleMonteCarlo(collection, projection, domain, 192, 13, 0)
+                  .ok());
+  ExpectMonteCarloMatchesOracle(collection, domain, projection,
+                                /*per_fact=*/false, "projection");
+  // Plans' error-some-tuples fails on the facts with x >= 17, which most
+  // worlds hold.
+  AlgebraExprPtr error_plan;
+  for (const auto& [name, plan] : Plans(2, 20)) {
+    if (name == "error-some-tuples") error_plan = plan;
+  }
+  ASSERT_NE(error_plan, nullptr);
+  EXPECT_EQ(OracleMonteCarlo(collection, error_plan, domain, 192, 13, 0)
+                .status()
+                .code(),
+            StatusCode::kNotFound);
+  ExpectMonteCarloMatchesOracle(collection, domain, error_plan,
+                                /*per_fact=*/false, "plan error");
+  // The base relation alone counts per fact.
+  ExpectMonteCarloMatchesOracle(collection, domain, r, /*per_fact=*/true,
+                                "base");
 }
 
 TEST(LineageDifferentialTest, SparseWorldsOverLargeUniverseMatchOracle) {

@@ -147,6 +147,57 @@ TEST(BigIntTest, RandomBelowLargeBoundCoversHighLimbs) {
   EXPECT_TRUE(saw_large);
 }
 
+using Uint128 = unsigned __int128;
+
+TEST(BigIntTest, FromUint128MatchesLimbArithmetic) {
+  const BigInt two64 = BigInt(uint64_t{1} << 32) * BigInt(uint64_t{1} << 32);
+  EXPECT_TRUE(BigInt::FromUint128(0).IsZero());
+  EXPECT_EQ(BigInt::FromUint128(UINT64_MAX), BigInt(UINT64_MAX));
+  EXPECT_EQ(BigInt::FromUint128(Uint128{1} << 64), two64);
+  EXPECT_EQ(BigInt::FromUint128((Uint128{0x1234} << 64) | 0xabcd),
+            BigInt(0x1234) * two64 + BigInt(0xabcd));
+}
+
+/// Expects RandomBelow128 to return what RandomBelow returns from the
+/// same engine state, and to leave the engine in the same state.
+void ExpectRandomBelowAgrees(Uint128 bound, uint64_t seed, int draws) {
+  std::mt19937_64 engine(seed);
+  std::mt19937_64 reference(seed);
+  const BigInt big_bound = BigInt::FromUint128(bound);
+  for (int i = 0; i < draws; ++i) {
+    const Uint128 value = BigInt::RandomBelow128(bound, engine);
+    ASSERT_EQ(BigInt::FromUint128(value),
+              BigInt::RandomBelow(big_bound, reference))
+        << "bound " << big_bound.ToString() << " draw " << i;
+    ASSERT_TRUE(value < bound);
+  }
+  EXPECT_EQ(engine(), reference()) << "bound " << big_bound.ToString();
+}
+
+TEST(BigIntTest, RandomBelow128MatchesRandomBelow) {
+  // 3·2^61 comes first: its two limbs and 31-bit top limb accept most
+  // tries, so a wrong limb order or mask shows at once. Draws stop at the
+  // first mismatch, because a wrong draw can reject nearly every try on
+  // the bounds after it.
+  const Uint128 one = 1;
+  for (const Uint128 bound :
+       {Uint128{3} << 61, one, (one << 32) - 1, one << 32, one << 64,
+        (one << 64) + 1, (one << 121) - 1}) {
+    ExpectRandomBelowAgrees(bound, 29, 50);
+    if (HasFailure()) return;
+  }
+  // Seeded bounds of 1 to 121 bits, top bit set.
+  std::mt19937_64 bounds(31);
+  for (int i = 0; i < 1000; ++i) {
+    const int bits = 1 + static_cast<int>(bounds() % 121);
+    Uint128 bound = (Uint128{bounds()} << 64) | bounds();
+    bound &= (one << bits) - 1;
+    bound |= one << (bits - 1);
+    ExpectRandomBelowAgrees(bound, 1000 + static_cast<uint64_t>(i), 5);
+    if (HasFailure()) return;
+  }
+}
+
 TEST(BigIntTest, AccumulationMatchesClosedForm) {
   // Σ_{k=0}^{63} C-like doubling: Σ 2^k = 2^64 − 1.
   BigInt sum;

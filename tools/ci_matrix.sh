@@ -251,13 +251,71 @@ EOF
 run_smoke "psc answer --method mc (sparse worlds, per-block groups)" \
   "${smoke_build}/tools/psc" answer "${sparse_input}" 'Ans(x) <- R(x)' \
   --method mc --samples 500 --seed 3 --domain "$(seq -s, 0 99)"
+# A dense two-cache fleet of 150 facts, past the 121 a 128-bit shape
+# table holds: the sampler weighs its shapes in BigInt, and every tuple of
+# Ans(x) <- Object(x) is its one fact, so the call counts per fact.
+big_fleet_input="$(mktemp)"
+binary_input="$(mktemp)"
+mc_metrics="$(mktemp)"
+trap 'rm -f "${smoke_input}" "${fanout_input}" "${fleet_input}" "${sparse_input}" "${big_fleet_input}" "${binary_input}" "${mc_metrics}"' EXIT
+{
+  for c in 1 2; do
+    printf 'source cache%s {\n  view: V%s(x) <- Object(x)\n' "$c" "$c"
+    printf '  completeness: 9/10\n  soundness: 9/10\n  facts: '
+    lo=$(( (c - 1) * 10 ))
+    for i in $(seq "${lo}" $(( lo + 129 ))) \
+             $(seq $(( 190 + c * 10 )) $(( 194 + c * 10 ))); do
+      [[ $i -gt ${lo} ]] && printf ', '
+      printf '(%s)' "$i"
+    done
+    printf '\n}\n'
+  done
+} > "${big_fleet_input}"
+run_smoke "psc answer --method mc (dense 150-fact fleet, per-fact counts)" \
+  "${smoke_build}/tools/psc" answer "${big_fleet_input}" \
+  'Ans(x) <- Object(x)' --method mc --samples 500 --seed 3
+"${smoke_build}/tools/psc" answer "${big_fleet_input}" \
+  'Ans(x) <- Object(x)' --method mc --samples 500 --seed 3 --quiet \
+  --metrics-out "${mc_metrics}" > /dev/null
+python3 tools/check_metrics_schema.py \
+  --require-counter query.mc_per_fact_calls "${mc_metrics}"
+# A dense binary collection: every world keeps at least 8 of A's 10
+# facts, so the call builds one lineage, but x = 0..4 each have two
+# facts, so the projection tests every world against the derivations.
+cat > "${binary_input}" <<'EOF'
+source A {
+  view: V(x, y) <- R2(x, y)
+  completeness: 1
+  soundness: 4/5
+  facts: V(0, 0), V(0, 1), V(1, 0), V(1, 1), V(2, 0), V(2, 1), V(3, 0), V(3, 1), V(4, 0), V(4, 1)
+}
+source B {
+  view: W(x, y) <- R2(x, y)
+  completeness: 1/4
+  soundness: 1/2
+  facts: W(0, 0), W(1, 1), W(2, 0), W(3, 1)
+}
+EOF
+run_smoke "psc answer --method mc (dense binary, per-world tests)" \
+  "${smoke_build}/tools/psc" answer "${binary_input}" 'Ans(x) <- R2(x, y)' \
+  --method mc --samples 500 --seed 3
+
+# Certain answers are undefined over an empty poss(S): `psc certain` on
+# the inconsistent collection must fail as `psc answer` does.
+echo "=== psc certain on an inconsistent collection ==="
+if certain_out="$("${smoke_build}/tools/psc" certain data/conflicted.psc \
+    'Ans(p) <- Product(p)' 2>&1)" ||
+   ! grep -q "poss(S) is empty" <<< "${certain_out}"; then
+  echo "FAIL: expected the poss(S)-is-empty error, got: ${certain_out}" >&2
+  exit 1
+fi
 
 # Query-evaluation bench smoke: the sweep cross-checks every compiled
 # result against the reference oracle (non-zero exit on mismatch) and
 # its metrics record must carry the eval.* counters.
 echo "=== bench_query_eval smoke ==="
 bench_metrics="$(mktemp)"
-trap 'rm -f "${smoke_input}" "${fanout_input}" "${fleet_input}" "${sparse_input}" "${bench_metrics}"' EXIT
+trap 'rm -f "${smoke_input}" "${fanout_input}" "${fleet_input}" "${sparse_input}" "${big_fleet_input}" "${binary_input}" "${mc_metrics}" "${bench_metrics}"' EXIT
 PSC_BENCH_METRICS_OUT="${bench_metrics}" \
   "${smoke_build}/bench/bench_query_eval" --smoke
 python3 tools/check_metrics_schema.py \
@@ -273,7 +331,7 @@ python3 tools/check_metrics_schema.py \
 # dirty-scoped consistency skips.
 echo "=== bench_incremental smoke ==="
 delta_metrics="$(mktemp)"
-trap 'rm -f "${smoke_input}" "${fanout_input}" "${fleet_input}" "${sparse_input}" "${bench_metrics}" "${delta_metrics}"' EXIT
+trap 'rm -f "${smoke_input}" "${fanout_input}" "${fleet_input}" "${sparse_input}" "${big_fleet_input}" "${binary_input}" "${mc_metrics}" "${bench_metrics}" "${delta_metrics}"' EXIT
 PSC_BENCH_METRICS_OUT="${delta_metrics}" \
   "${smoke_build}/bench/bench_incremental" --smoke
 python3 tools/check_metrics_schema.py \
@@ -290,7 +348,7 @@ python3 tools/check_metrics_schema.py \
 # per-verb request counters and cross-session batch dedup.
 echo "=== bench_serving smoke ==="
 serving_metrics="$(mktemp)"
-trap 'rm -f "${smoke_input}" "${fanout_input}" "${fleet_input}" "${sparse_input}" "${bench_metrics}" "${delta_metrics}" "${serving_metrics}"' EXIT
+trap 'rm -f "${smoke_input}" "${fanout_input}" "${fleet_input}" "${sparse_input}" "${big_fleet_input}" "${binary_input}" "${mc_metrics}" "${bench_metrics}" "${delta_metrics}" "${serving_metrics}"' EXIT
 PSC_BENCH_METRICS_OUT="${serving_metrics}" \
   "${smoke_build}/bench/bench_serving" --smoke
 python3 tools/check_metrics_schema.py \
@@ -306,7 +364,7 @@ python3 tools/check_metrics_schema.py \
 # exit 0 on the shutdown verb.
 echo "=== pscd end-to-end serving smoke ==="
 serve_dir="$(mktemp -d)"
-trap 'rm -f "${smoke_input}" "${fanout_input}" "${fleet_input}" "${sparse_input}" "${bench_metrics}" "${delta_metrics}" "${serving_metrics}"; rm -rf "${serve_dir}"' EXIT
+trap 'rm -f "${smoke_input}" "${fanout_input}" "${fleet_input}" "${sparse_input}" "${big_fleet_input}" "${binary_input}" "${mc_metrics}" "${bench_metrics}" "${delta_metrics}" "${serving_metrics}"; rm -rf "${serve_dir}"' EXIT
 serve_sock="${serve_dir}/pscd.sock"
 "${smoke_build}/tools/pscd" --unix "${serve_sock}" \
   --load data/example51.psc > "${serve_dir}/pscd.log" 2>&1 &
@@ -370,7 +428,7 @@ echo "pscd served racing clients and drained cleanly (exit 0)"
 # thread-count independent.
 echo "=== --apply-delta streaming smoke ==="
 delta_script="$(mktemp)"
-trap 'rm -f "${smoke_input}" "${fanout_input}" "${fleet_input}" "${sparse_input}" "${bench_metrics}" "${delta_metrics}" "${serving_metrics}" "${delta_script}"; rm -rf "${serve_dir}"' EXIT
+trap 'rm -f "${smoke_input}" "${fanout_input}" "${fleet_input}" "${sparse_input}" "${big_fleet_input}" "${binary_input}" "${mc_metrics}" "${bench_metrics}" "${delta_metrics}" "${serving_metrics}" "${delta_script}"; rm -rf "${serve_dir}"' EXIT
 cat > "${delta_script}" <<'EOF'
 + S1("c")
 --
@@ -387,7 +445,7 @@ run_smoke "psc check --apply-delta (example 5.1)" \
 echo "=== --deadline-ms graceful-degradation smoke ==="
 deadline_input="$(mktemp)"
 deadline_metrics="$(mktemp)"
-trap 'rm -f "${smoke_input}" "${fanout_input}" "${fleet_input}" "${sparse_input}" "${bench_metrics}" "${delta_metrics}" "${serving_metrics}" "${deadline_input}" "${deadline_metrics}"; rm -rf "${serve_dir}"' EXIT
+trap 'rm -f "${smoke_input}" "${fanout_input}" "${fleet_input}" "${sparse_input}" "${big_fleet_input}" "${binary_input}" "${mc_metrics}" "${bench_metrics}" "${delta_metrics}" "${serving_metrics}" "${deadline_input}" "${deadline_metrics}"; rm -rf "${serve_dir}"' EXIT
 {
   printf 'source Blocker {\n  view: V0(x) <- R(x), M(x)\n'
   printf '  completeness: 1\n  soundness: 0\n}\n'
@@ -414,7 +472,7 @@ python3 tools/check_metrics_schema.py \
 # error before the first world, well within the 2 s timeout.
 echo "=== exact-enumeration up-front refusal smoke ==="
 refusal_input="$(mktemp)"
-trap 'rm -f "${smoke_input}" "${fanout_input}" "${fleet_input}" "${sparse_input}" "${bench_metrics}" "${delta_metrics}" "${serving_metrics}" "${deadline_input}" "${deadline_metrics}" "${refusal_input}"; rm -rf "${serve_dir}"' EXIT
+trap 'rm -f "${smoke_input}" "${fanout_input}" "${fleet_input}" "${sparse_input}" "${big_fleet_input}" "${binary_input}" "${mc_metrics}" "${bench_metrics}" "${delta_metrics}" "${serving_metrics}" "${deadline_input}" "${deadline_metrics}" "${refusal_input}"; rm -rf "${serve_dir}"' EXIT
 printf 'source S {\n  view: V(x) <- R(x)\n  completeness: 0\n  soundness: 0\n  facts: (0)\n}\n' \
   > "${refusal_input}"
 if refusal="$(timeout 2 "${smoke_build}/tools/psc" answer "${refusal_input}" \
@@ -431,7 +489,7 @@ fi
 echo "=== query-scoped telemetry smoke ==="
 telemetry_trace="$(mktemp)"
 telemetry_metrics="$(mktemp)"
-trap 'rm -f "${smoke_input}" "${fanout_input}" "${fleet_input}" "${sparse_input}" "${bench_metrics}" "${delta_metrics}" "${serving_metrics}" "${deadline_input}" "${deadline_metrics}" "${refusal_input}" "${telemetry_trace}" "${telemetry_metrics}"; rm -rf "${serve_dir}"' EXIT
+trap 'rm -f "${smoke_input}" "${fanout_input}" "${fleet_input}" "${sparse_input}" "${big_fleet_input}" "${binary_input}" "${mc_metrics}" "${bench_metrics}" "${delta_metrics}" "${serving_metrics}" "${deadline_input}" "${deadline_metrics}" "${refusal_input}" "${telemetry_trace}" "${telemetry_metrics}"; rm -rf "${serve_dir}"' EXIT
 "${smoke_build}/tools/psc" answer data/example51.psc "Ans(x) <- R(x)" \
   --method mc --samples 20000 --threads 4 --quiet \
   --trace-out "${telemetry_trace}" --metrics-out "${telemetry_metrics}"
@@ -442,4 +500,4 @@ python3 tools/check_metrics_schema.py \
   "${telemetry_metrics}"
 python3 tools/psc_trace_summary.py --k 5 "${telemetry_trace}"
 
-echo "ci matrix passed: lint, PSC_OBS on/off, TSan, ASan+UBSan (and its x50 budget/cancellation and shared-pool repeat), Debug lock-rank checks, clang stages (or skipped), --threads equivalence, deadline degradation, exact-enumeration refusal, query-scoped telemetry, incremental-delta and resident-serving smokes green"
+echo "ci matrix passed: lint, PSC_OBS on/off, TSan, ASan+UBSan (and its x50 budget/cancellation and shared-pool repeat), Debug lock-rank checks, clang stages (or skipped), --threads equivalence, certain on inconsistent input, deadline degradation, exact-enumeration refusal, query-scoped telemetry, incremental-delta and resident-serving smokes green"

@@ -497,6 +497,22 @@ int RunCertain(const SourceCollection& collection,
   if (!query.ok()) return Fail(query.status());
   auto plan = CompileQuery(*query);
   if (!plan.ok()) return Fail(plan.status());
+  // Certain answers are undefined over an empty poss(S), and the bound
+  // cannot tell: a combination whose cardinality constraints no database
+  // meets still yields a tableau. So consistency is decided first.
+  auto system = QuerySystem::Create(collection, SystemOptions(options));
+  if (!system.ok()) return Fail(system.status());
+  auto report = system->CheckConsistency();
+  if (!report.ok()) return Fail(report.status());
+  if (report->verdict == ConsistencyVerdict::kInconsistent) {
+    return Fail(Status::Inconsistent(
+        "poss(S) is empty: query answers are undefined"));
+  }
+  if (report->verdict == ConsistencyVerdict::kUnknown) {
+    std::printf("consistency not decided (%s): the bound assumes poss(S) "
+                "is non-empty\n",
+                report->unknown_reason.c_str());
+  }
   auto bound = CertainAnswerLowerBound(collection, *plan, CliBudget(options));
   if (!bound.ok()) return Fail(bound.status());
   std::printf("template-based certain lower bound (%llu combinations%s):\n",
