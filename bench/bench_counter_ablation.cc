@@ -15,7 +15,6 @@
 #include "benchmark/benchmark.h"
 #include "psc/counting/linear_system.h"
 #include "psc/counting/model_counter.h"
-#include "psc/util/combinatorics.h"
 #include "psc/util/random.h"
 
 namespace psc {
@@ -98,8 +97,7 @@ void PrintTable() {
     if (!instance.ok()) continue;
 
     bench_util::Stopwatch stopwatch;
-    BinomialTable binomials;
-    SignatureCounter counter(&*instance, &binomials);
+    SignatureCounter counter(&*instance);
     auto outcome = counter.Count();
     const double counter_ms = stopwatch.ElapsedMillis();
 
@@ -121,8 +119,7 @@ void PrintTable() {
     auto instance = IdentityInstance::Create(collection, IntDomain(n));
     if (!instance.ok()) continue;
     bench_util::Stopwatch stopwatch;
-    BinomialTable binomials;
-    SignatureCounter counter(&*instance, &binomials);
+    SignatureCounter counter(&*instance);
     auto outcome = counter.Count();
     const double counter_ms = stopwatch.ElapsedMillis();
     if (!outcome.ok()) continue;
@@ -143,8 +140,7 @@ void PrintTable() {
     auto instance = IdentityInstance::Create(planted, IntDomain(n));
     if (!instance.ok()) continue;
     bench_util::Stopwatch stopwatch;
-    BinomialTable binomials;
-    SignatureCounter counter(&*instance, &binomials);
+    SignatureCounter counter(&*instance);
     auto outcome = counter.Count();
     const double counter_ms = stopwatch.ElapsedMillis();
     if (!outcome.ok()) continue;
@@ -166,8 +162,7 @@ void BM_SignatureCounter(benchmark::State& state) {
   auto instance =
       IdentityInstance::Create(collection, IntDomain(state.range(0)));
   for (auto _ : state) {
-    BinomialTable binomials;
-    SignatureCounter counter(&*instance, &binomials);
+    SignatureCounter counter(&*instance);
     auto outcome = counter.Count();
     benchmark::DoNotOptimize(outcome);
   }

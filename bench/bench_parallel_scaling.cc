@@ -19,7 +19,6 @@
 #include "psc/counting/model_counter.h"
 #include "psc/exec/thread_pool.h"
 #include "psc/parser/parser.h"
-#include "psc/util/combinatorics.h"
 
 namespace psc {
 namespace {
@@ -99,8 +98,7 @@ void SweepCounting() {
   double base_ms = 0.0;
   BigInt base_count;
   for (const size_t threads : kThreadCounts) {
-    BinomialTable binomials;
-    SignatureCounter counter(&*instance, &binomials);
+    SignatureCounter counter(&*instance);
     bench_util::Stopwatch stopwatch;
     Result<CountingOutcome> outcome = Status::Internal("unset");
     if (threads == 1) {
@@ -160,8 +158,7 @@ void BM_ParallelSignatureCount(benchmark::State& state) {
   const size_t threads = static_cast<size_t>(state.range(0));
   exec::ThreadPool pool(threads);
   for (auto _ : state) {
-    BinomialTable binomials;
-    SignatureCounter counter(&*instance, &binomials);
+    SignatureCounter counter(&*instance);
     auto outcome = counter.Count(threads > 1 ? &pool : nullptr);
     benchmark::DoNotOptimize(outcome);
   }

@@ -4,7 +4,6 @@
 #include "psc/counting/model_counter.h"
 #include "psc/obs/metrics.h"
 #include "psc/obs/trace.h"
-#include "psc/util/combinatorics.h"
 
 namespace psc {
 
@@ -13,14 +12,13 @@ Result<IdentityConsistencyReport> CheckIdentityConsistency(
   PSC_OBS_SPAN("consistency.identity_check");
   PSC_ASSIGN_OR_RETURN(IdentityInstance instance,
                        IdentityInstance::CreateOverExtensions(collection));
-  BinomialTable binomials;
-  SignatureCounter counter(&instance, &binomials);
+  SignatureCounter counter(&instance);
   IdentityConsistencyReport report;
   PSC_ASSIGN_OR_RETURN(
-      const std::optional<WorldShape> shape,
+      const std::optional<std::vector<int64_t>> counts,
       counter.FirstFeasibleShape(&report.visited_shapes, budget));
   PSC_OBS_COUNTER_ADD("consistency.nodes_expanded", report.visited_shapes);
-  if (!shape.has_value()) {
+  if (!counts.has_value()) {
     report.consistent = false;
     return report;
   }
@@ -31,7 +29,7 @@ Result<IdentityConsistencyReport> CheckIdentityConsistency(
   const auto& groups = instance.groups();
   for (size_t g = 0; g < groups.size(); ++g) {
     const auto first = groups[g].members.begin();
-    members.insert(members.end(), first, first + shape->counts[g]);
+    members.insert(members.end(), first, first + (*counts)[g]);
   }
   report.witness = std::move(instance).World(members);
   return report;

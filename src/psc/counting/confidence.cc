@@ -34,8 +34,7 @@ Result<ConfidenceTable> ComputeBaseFactConfidences(
     const IdentityInstance& instance, exec::ThreadPool* pool,
     const limits::Budget& budget) {
   PSC_OBS_SPAN("counting.base_confidences");
-  BinomialTable binomials;
-  SignatureCounter counter(&instance, &binomials);
+  SignatureCounter counter(&instance);
   PSC_ASSIGN_OR_RETURN(const CountingOutcome outcome,
                        counter.Count(pool, budget));
   if (outcome.world_count.IsZero()) {

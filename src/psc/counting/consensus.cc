@@ -1,9 +1,9 @@
 #include "psc/counting/consensus.h"
 
 #include <algorithm>
+#include <span>
 
 #include "psc/counting/model_counter.h"
-#include "psc/util/combinatorics.h"
 
 namespace psc {
 
@@ -11,11 +11,11 @@ namespace {
 
 /// Tᵢ for one shape: tuples picked from groups inside source i.
 int64_t InExtension(const IdentityInstance& instance,
-                    const WorldShape& shape, size_t source) {
+                    std::span<const int64_t> counts, size_t source) {
   int64_t in_extension = 0;
-  for (size_t g = 0; g < shape.counts.size(); ++g) {
+  for (size_t g = 0; g < counts.size(); ++g) {
     if ((instance.groups()[g].signature & (uint64_t{1} << source)) != 0) {
-      in_extension += shape.counts[g];
+      in_extension += counts[g];
     }
   }
   return in_extension;
@@ -24,14 +24,11 @@ int64_t InExtension(const IdentityInstance& instance,
 }  // namespace
 
 Result<std::vector<SourceConsensus>> ComputeSourceConsensus(
-    const IdentityInstance& instance) {
-  BinomialTable binomials;
-  SignatureCounter counter(&instance, &binomials);
-  PSC_ASSIGN_OR_RETURN(const std::vector<WorldShape> shapes,
-                       counter.FeasibleShapes());
-
-  BigInt total;
-  for (const WorldShape& shape : shapes) total += shape.weight;
+    const IdentityInstance& instance, const limits::Budget& budget) {
+  SignatureCounter counter(&instance);
+  PSC_ASSIGN_OR_RETURN(const ShapeTable shapes,
+                       counter.FeasibleShapeTable(budget));
+  const BigInt total = shapes.total();
   if (total.IsZero()) {
     return Status::Inconsistent(
         "poss(S) is empty: consensus measures are undefined");
@@ -44,13 +41,15 @@ Result<std::vector<SourceConsensus>> ComputeSourceConsensus(
   // to double (numerically safe even when |poss| overflows double).
   std::vector<double> expected_completeness(n, 0.0);
 
-  for (const WorldShape& shape : shapes) {
+  for (size_t shape = 0; shape < shapes.num_shapes(); ++shape) {
+    const std::span<const int64_t> counts = shapes.counts(shape);
+    const BigInt weight = shapes.weight(shape);
     int64_t world_size = 0;
-    for (const int64_t count : shape.counts) world_size += count;
+    for (const int64_t count : counts) world_size += count;
     for (size_t i = 0; i < n; ++i) {
-      const int64_t in_extension = InExtension(instance, shape, i);
+      const int64_t in_extension = InExtension(instance, counts, i);
       if (in_extension > 0) {
-        BigInt term = shape.weight;
+        BigInt term = weight;
         term.MulU32(static_cast<uint32_t>(in_extension));
         weighted_sound[i] += term;
         BigInt denominator = total;
@@ -58,8 +57,7 @@ Result<std::vector<SourceConsensus>> ComputeSourceConsensus(
         expected_completeness[i] += BigInt::RatioToDouble(term, denominator);
       } else if (world_size == 0) {
         // φᵢ(D) = ∅: vacuously complete in this world.
-        expected_completeness[i] += BigInt::RatioToDouble(shape.weight,
-                                                          total);
+        expected_completeness[i] += BigInt::RatioToDouble(weight, total);
       }
     }
   }

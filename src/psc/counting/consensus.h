@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "psc/counting/identity_instance.h"
+#include "psc/limits/budget.h"
 #include "psc/util/result.h"
 
 namespace psc {
@@ -36,10 +37,13 @@ struct SourceConsensus {
 ///   E[s_D(vᵢ)] = Σ_shapes weight·Tᵢ / (|vᵢ|·|poss|)        (exact ratio)
 ///   E[c_D(vᵢ)] = Σ_shapes weight·(Tᵢ/|D|) / |poss|          (per-shape)
 ///
-/// Fails with Inconsistent when poss(S) is empty, and with
-/// ResourceExhausted past `SignatureCounter::kMaxStoredShapes` shapes.
+/// The shapes come from `SignatureCounter::FeasibleShapeTable`, whose walk
+/// charges `budget`. Fails with Inconsistent when poss(S) is empty, with
+/// ResourceExhausted past `SignatureCounter::kMaxStoredShapes` shapes, and
+/// with `budget.ToStatus()` when the budget trips.
 Result<std::vector<SourceConsensus>> ComputeSourceConsensus(
-    const IdentityInstance& instance);
+    const IdentityInstance& instance,
+    const limits::Budget& budget = limits::Budget());
 
 }  // namespace psc
 

@@ -2,20 +2,21 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <type_traits>
 #include <utility>
 
 #include "psc/exec/parallel.h"
 #include "psc/obs/metrics.h"
 #include "psc/obs/trace.h"
+#include "psc/util/combinatorics.h"
 #include "psc/util/string_util.h"
 
 namespace psc {
 
-SignatureCounter::SignatureCounter(const IdentityInstance* instance,
-                                   BinomialTable* binomials)
-    : instance_(instance), binomials_(binomials) {
-  PSC_CHECK(instance_ != nullptr && binomials_ != nullptr);
+SignatureCounter::SignatureCounter(const IdentityInstance* instance)
+    : instance_(instance) {
+  PSC_CHECK(instance_ != nullptr);
   BuildSuffixCapacity();
 }
 
@@ -69,30 +70,26 @@ std::vector<Uint128> BinomialRow128(int64_t n) {
   return row;
 }
 
-/// Each group's row in 128-bit arithmetic, kept in `owned`.
-std::vector<const std::vector<Uint128>*> Uint128Rows(
+/// Each group's row C(n_g, 0..n_g) in `Num` arithmetic, built once per
+/// distinct group size and kept in `owned`.
+template <typename Num>
+std::vector<const std::vector<Num>*> BinomialRows(
     const IdentityInstance& instance,
-    std::vector<std::vector<Uint128>>* owned) {
-  owned->clear();
-  owned->reserve(instance.groups().size());
-  std::vector<const std::vector<Uint128>*> rows;
+    std::map<int64_t, std::vector<Num>>* owned) {
+  std::vector<const std::vector<Num>*> rows;
+  rows.reserve(instance.groups().size());
   for (const auto& group : instance.groups()) {
-    owned->push_back(BinomialRow128(group.size));
-    rows.push_back(&owned->back());
+    auto [it, inserted] = owned->try_emplace(group.size);
+    if (inserted) {
+      if constexpr (std::is_same_v<Num, BigInt>) {
+        it->second = BinomialRow(group.size);
+      } else {
+        it->second = BinomialRow128(group.size);
+      }
+    }
+    rows.push_back(&it->second);
   }
   return rows;
-}
-
-/// C(n, k) without a row: C(n−k+j, j) = C(n−k+j−1, j−1)·(n−k+j)/j for
-/// j = 1..k, each step exact.
-BigInt Binomial(int64_t n, int64_t k) {
-  k = std::min(k, n - k);
-  BigInt value(1);
-  for (int64_t j = 1; j <= k; ++j) {
-    value.MulU32(static_cast<uint32_t>(n - k + j));
-    value = value.DivExactU32(static_cast<uint32_t>(j));
-  }
-  return value;
 }
 
 /// The number type of a search that needs no weights: products are free
@@ -101,16 +98,6 @@ struct NoWeight {
   explicit NoWeight(int /*one*/ = 1) {}
   NoWeight operator*(const NoWeight&) const { return NoWeight(); }
 };
-
-/// Each group's BigInt binomial row, from the shared table.
-std::vector<const std::vector<BigInt>*> BigIntRows(
-    const IdentityInstance& instance, BinomialTable* binomials) {
-  std::vector<const std::vector<BigInt>*> rows;
-  for (const auto& group : instance.groups()) {
-    rows.push_back(&binomials->Row(group.size));
-  }
-  return rows;
-}
 
 /// Level-bounded DFS over per-group count vectors (k_0, …, k_{G−1}) in
 /// lexicographic order, with weights ∏ C(n_g, k_g) in `Num` arithmetic
@@ -471,57 +458,38 @@ Result<CountingOutcome> SignatureCounter::Count(exec::ThreadPool* pool,
     outcome.feasible_shapes = 1;
     outcome.visited_shapes = 1;
   } else if (instance_->universe().size() <= kMax128BitUniverseFacts) {
-    std::vector<std::vector<Uint128>> owned;
+    std::map<int64_t, std::vector<Uint128>> owned;
     PSC_ASSIGN_OR_RETURN(
-        outcome, CountRuns<Uint128>(*instance_, Uint128Rows(*instance_, &owned),
-                                    suffix_max_, pool, budget));
+        outcome, CountRuns(*instance_, BinomialRows(*instance_, &owned),
+                           suffix_max_, pool, budget));
   } else {
+    std::map<int64_t, std::vector<BigInt>> owned;
     PSC_ASSIGN_OR_RETURN(
-        outcome,
-        CountRuns<BigInt>(*instance_, BigIntRows(*instance_, binomials_),
-                          suffix_max_, pool, budget));
+        outcome, CountRuns(*instance_, BinomialRows(*instance_, &owned),
+                           suffix_max_, pool, budget));
   }
   PSC_OBS_COUNTER_ADD("counting.shapes_visited", outcome.visited_shapes);
   PSC_OBS_COUNTER_ADD("counting.feasible_shapes", outcome.feasible_shapes);
   return outcome;
 }
 
-Result<std::vector<WorldShape>> SignatureCounter::FeasibleShapes(
-    const limits::Budget& budget) {
-  std::vector<WorldShape> shapes;
-  ShapeEnumerator<BigInt> enumerator(
-      *instance_, BigIntRows(*instance_, binomials_), suffix_max_, budget);
-  PSC_ASSIGN_OR_RETURN(
-      const bool completed,
-      enumerator.ForEachShape(
-          [&](const std::vector<int64_t>& counts, BigInt weight) {
-            if (shapes.size() == kMaxStoredShapes) return false;
-            shapes.push_back(WorldShape{counts, std::move(weight)});
-            return true;
-          }));
-  if (!completed) {
-    return Status::ResourceExhausted(
-        StrCat("more than ", kMaxStoredShapes, " feasible shapes"));
-  }
-  return shapes;
-}
-
 namespace {
 
 /// Appends each feasible shape's counts to `counts` and its running
 /// weight total, in `Num` arithmetic, to `cumulative`; false when more
-/// than `kMaxStoredShapes` are feasible.
+/// than `kMaxStoredShapes` are feasible. `visited` receives the walk's
+/// count vectors that pass every soundness test.
 template <typename Num>
 Result<bool> FillShapeTable(
     const IdentityInstance& instance,
     std::vector<const std::vector<Num>*> rows,
     const std::vector<std::vector<int64_t>>& suffix_max,
     const limits::Budget& budget, std::vector<int64_t>* counts,
-    std::vector<Num>* cumulative) {
+    std::vector<Num>* cumulative, uint64_t* visited) {
   ShapeEnumerator<Num> enumerator(instance, std::move(rows), suffix_max,
                                   budget);
   Num total{};
-  return enumerator.ForEachShape(
+  auto completed = enumerator.ForEachShape(
       [&](const std::vector<int64_t>& shape, const Num& weight) {
         if (cumulative->size() == SignatureCounter::kMaxStoredShapes) {
           return false;
@@ -531,6 +499,8 @@ Result<bool> FillShapeTable(
         cumulative->push_back(total);
         return true;
       });
+  *visited = enumerator.visited();
+  return completed;
 }
 
 }  // namespace
@@ -538,50 +508,80 @@ Result<bool> FillShapeTable(
 Result<ShapeTable> SignatureCounter::FeasibleShapeTable(
     const limits::Budget& budget) {
   ShapeTable table;
+  table.num_groups_ = instance_->groups().size();
   bool completed = false;
+  uint64_t visited = 0;
   if (instance_->universe().size() <= kMax128BitUniverseFacts) {
-    std::vector<std::vector<Uint128>> owned;
+    std::map<int64_t, std::vector<Uint128>> owned;
     PSC_ASSIGN_OR_RETURN(
         completed,
-        FillShapeTable<Uint128>(*instance_, Uint128Rows(*instance_, &owned),
-                                suffix_max_, budget, &table.counts,
-                                &table.cumulative_128));
+        FillShapeTable(*instance_, BinomialRows(*instance_, &owned),
+                       suffix_max_, budget, &table.counts_,
+                       &table.cumulative_128_, &visited));
   } else {
+    std::map<int64_t, std::vector<BigInt>> owned;
     PSC_ASSIGN_OR_RETURN(
         completed,
-        FillShapeTable<BigInt>(*instance_, BigIntRows(*instance_, binomials_),
-                               suffix_max_, budget, &table.counts,
-                               &table.cumulative));
+        FillShapeTable(*instance_, BinomialRows(*instance_, &owned),
+                       suffix_max_, budget, &table.counts_, &table.cumulative_,
+                       &visited));
   }
   if (!completed) {
     return Status::ResourceExhausted(
         StrCat("more than ", kMaxStoredShapes, " feasible shapes"));
   }
+  PSC_OBS_COUNTER_ADD("counting.shapes_visited", visited);
+  PSC_OBS_COUNTER_ADD("counting.feasible_shapes", table.num_shapes());
   return table;
 }
 
-Result<std::optional<WorldShape>> SignatureCounter::FirstFeasibleShape(
-    uint64_t* visited, const limits::Budget& budget) {
-  // The same walk as FeasibleShapes', without weights: only the shape
-  // returned is weighed.
-  std::optional<WorldShape> first;
+Result<std::optional<std::vector<int64_t>>>
+SignatureCounter::FirstFeasibleShape(uint64_t* visited,
+                                     const limits::Budget& budget) {
+  // The walk of FeasibleShapeTable, without weights.
+  std::optional<std::vector<int64_t>> first;
   ShapeEnumerator<NoWeight> enumerator(*instance_, {}, suffix_max_, budget);
   PSC_RETURN_NOT_OK(
       enumerator
           .ForEachShape([&](const std::vector<int64_t>& counts, NoWeight) {
-            first = WorldShape{counts, BigInt(1)};
+            first = counts;
             return false;
           })
           .status());
   if (visited != nullptr) *visited = enumerator.visited();
   PSC_OBS_COUNTER_ADD("counting.shapes_visited", enumerator.visited());
-  if (first.has_value()) {
-    const auto& groups = instance_->groups();
-    for (size_t g = 0; g < groups.size(); ++g) {
-      first->weight *= Binomial(groups[g].size, first->counts[g]);
-    }
-  }
   return first;
+}
+
+BigInt ShapeTable::weight(size_t i) const {
+  if (!cumulative_128_.empty()) {
+    return BigInt::FromUint128(cumulative_128_[i] -
+                               (i == 0 ? 0 : cumulative_128_[i - 1]));
+  }
+  return i == 0 ? cumulative_[0] : cumulative_[i] - cumulative_[i - 1];
+}
+
+BigInt ShapeTable::total() const {
+  if (!cumulative_128_.empty()) {
+    return BigInt::FromUint128(cumulative_128_.back());
+  }
+  return cumulative_.empty() ? BigInt() : cumulative_.back();
+}
+
+size_t ShapeTable::Draw(std::mt19937_64& engine) const {
+  // First shape whose running total exceeds the target.
+  const auto search = [](const auto& cumulative, const auto& target) {
+    const auto it = std::upper_bound(cumulative.begin(), cumulative.end(),
+                                     target);
+    PSC_CHECK(it != cumulative.end());
+    return static_cast<size_t>(it - cumulative.begin());
+  };
+  if (!cumulative_128_.empty()) {
+    return search(cumulative_128_, BigInt::RandomBelow128(
+                                       cumulative_128_.back(), engine));
+  }
+  PSC_CHECK(!cumulative_.empty());
+  return search(cumulative_, BigInt::RandomBelow(cumulative_.back(), engine));
 }
 
 }  // namespace psc

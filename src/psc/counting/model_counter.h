@@ -4,12 +4,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <random>
+#include <span>
 #include <vector>
 
 #include "psc/counting/identity_instance.h"
 #include "psc/limits/budget.h"
 #include "psc/util/bigint.h"
-#include "psc/util/combinatorics.h"
 #include "psc/util/result.h"
 
 namespace psc {
@@ -18,29 +19,47 @@ namespace exec {
 class ThreadPool;
 }  // namespace exec
 
-/// \brief A feasible "world shape": how many tuples each signature group
-/// contributes, together with the number of concrete worlds of that shape,
-/// weight = ∏_g C(n_g, counts[g]).
-struct WorldShape {
-  std::vector<int64_t> counts;
-  BigInt weight;
-};
-
-/// \brief The feasible shapes in `SignatureCounter::FeasibleShapes`' order,
-/// as flat arrays for sampling.
-struct ShapeTable {
-  /// Shape i's count vector is counts[i·G, (i+1)·G) over the G groups.
-  std::vector<int64_t> counts;
-  /// Σ_{j ≤ i} weight_j per shape i, in the number type `Count` sums in:
-  /// `cumulative_128` for universes of at most
-  /// `SignatureCounter::kMax128BitUniverseFacts` facts, `cumulative`
-  /// otherwise. The other one stays empty.
-  std::vector<unsigned __int128> cumulative_128;
-  std::vector<BigInt> cumulative;
-
+/// \brief The feasible shapes of one `SignatureCounter::FeasibleShapeTable`
+/// walk, in lexicographic order of their count vectors (group 0 most
+/// significant). A shape's weight is its number of concrete worlds,
+/// ∏_g C(n_g, k_g) over its counts k_g.
+///
+/// The table keeps running weight totals in the number type `Count` sums
+/// in: `unsigned __int128` for universes of at most
+/// `SignatureCounter::kMax128BitUniverseFacts` facts, `BigInt` otherwise.
+/// Its accessors hide which one.
+class ShapeTable {
+ public:
   size_t num_shapes() const {
-    return cumulative_128.empty() ? cumulative.size() : cumulative_128.size();
+    return cumulative_128_.empty() ? cumulative_.size()
+                                   : cumulative_128_.size();
   }
+  /// Shape i's count per group, valid while the table lives.
+  std::span<const int64_t> counts(size_t i) const {
+    return std::span<const int64_t>(counts_).subspan(i * num_groups_,
+                                                     num_groups_);
+  }
+  /// Shape i's weight ∏_g C(n_g, k_g).
+  BigInt weight(size_t i) const;
+  /// The sum of the weights, |poss(S)| over the instance's universe.
+  BigInt total() const;
+
+  /// \brief The index of a shape drawn with probability proportional to
+  /// its weight: the first whose running total exceeds a uniformly random
+  /// target below the total. Both number types draw the target with the
+  /// engine calls of `BigInt::RandomBelow` (`BigInt::RandomBelow128`), so
+  /// they pick the same shape. Requires at least one shape.
+  size_t Draw(std::mt19937_64& engine) const;
+
+ private:
+  friend class SignatureCounter;
+
+  size_t num_groups_ = 0;
+  /// Shape i's counts are counts_[i·G, (i+1)·G) over the G groups.
+  std::vector<int64_t> counts_;
+  /// Σ_{j ≤ i} weight_j per shape i; the one not in use stays empty.
+  std::vector<unsigned __int128> cumulative_128_;
+  std::vector<BigInt> cumulative_;
 };
 
 /// \brief The result of an exact count of poss(S).
@@ -75,8 +94,9 @@ struct CountingOutcome {
 /// interval, computed in O(sources) and handled as one *run*.
 class SignatureCounter {
  public:
-  /// `instance` and `binomials` must outlive the counter.
-  SignatureCounter(const IdentityInstance* instance, BinomialTable* binomials);
+  /// `instance` must outlive the counter. Each walk that weighs shapes
+  /// builds its own binomial rows, one per distinct group size.
+  explicit SignatureCounter(const IdentityInstance* instance);
 
   /// Largest universe `Count` sums in 128-bit arithmetic. Every sum it
   /// forms is at most Σ_D |D| = N·2^(N−1) over the N-fact universe, and
@@ -104,29 +124,26 @@ class SignatureCounter {
                                 const limits::Budget& budget =
                                     limits::Budget());
 
-  /// Most feasible shapes `FeasibleShapes` and `FeasibleShapeTable` hold
-  /// in memory: each one stores a count vector and a weight.
+  /// Most feasible shapes `FeasibleShapeTable` holds in memory: each one
+  /// stores a count vector and a running weight total.
   static constexpr uint64_t kMaxStoredShapes = uint64_t{1} << 22;
 
-  /// \brief Enumerates the feasible shapes themselves, in lexicographic
-  /// order of their count vectors (for world sampling and world
-  /// enumeration). Fails with ResourceExhausted if more than
+  /// \brief Enumerates the feasible shapes themselves (for world
+  /// sampling, world enumeration and consensus), by the walk `Count` runs
+  /// shape by shape. Fails with ResourceExhausted if more than
   /// `kMaxStoredShapes` are feasible, and with `budget.ToStatus()` when
-  /// the budget trips (charged as `Count` charges).
-  Result<std::vector<WorldShape>> FeasibleShapes(
-      const limits::Budget& budget = limits::Budget());
-
-  /// \brief The shapes `FeasibleShapes` returns, by the same walk with the
-  /// same budget charges, cap and error, with cumulative weights in place
-  /// of per-shape BigInt weights (see `ShapeTable`).
+  /// the budget trips (charged as `Count` charges). Adds the walk's
+  /// visited and feasible shapes to `counting.shapes_visited` and
+  /// `counting.feasible_shapes`, as `Count` does.
   Result<ShapeTable> FeasibleShapeTable(
       const limits::Budget& budget = limits::Budget());
 
   /// \brief Stops at the first feasible shape — a constructive consistency
-  /// check. nullopt when poss(S) is empty over the instance's universe.
-  /// `visited` receives the number of count vectors passing every
-  /// soundness test, up to and including the shape returned.
-  Result<std::optional<WorldShape>> FirstFeasibleShape(
+  /// check — and returns its counts, weighing nothing. nullopt when
+  /// poss(S) is empty over the instance's universe. `visited` receives the
+  /// number of count vectors passing every soundness test, up to and
+  /// including the shape returned.
+  Result<std::optional<std::vector<int64_t>>> FirstFeasibleShape(
       uint64_t* visited = nullptr,
       const limits::Budget& budget = limits::Budget());
 
@@ -135,7 +152,6 @@ class SignatureCounter {
   void BuildSuffixCapacity();
 
   const IdentityInstance* instance_;
-  BinomialTable* binomials_;
   std::vector<std::vector<int64_t>> suffix_max_;
 };
 

@@ -1,5 +1,8 @@
 #include "psc/counting/world_enumerator.h"
 
+#include <numeric>
+#include <span>
+
 #include "psc/counting/model_counter.h"
 #include "psc/obs/metrics.h"
 #include "psc/util/combinatorics.h"
@@ -10,12 +13,10 @@ namespace psc {
 Result<bool> IdentityWorldEnumerator::ForEachWorldIds(
     const std::function<bool(const std::vector<size_t>&)>& fn,
     const limits::Budget& budget) const {
-  BinomialTable binomials;
-  SignatureCounter counter(instance_, &binomials);
-  PSC_ASSIGN_OR_RETURN(const std::vector<WorldShape> shapes,
-                       counter.FeasibleShapes(budget));
-  BigInt worlds;
-  for (const WorldShape& shape : shapes) worlds += shape.weight;
+  SignatureCounter counter(instance_);
+  PSC_ASSIGN_OR_RETURN(const ShapeTable shapes,
+                       counter.FeasibleShapeTable(budget));
+  const BigInt worlds = shapes.total();
   if (worlds > BigInt(kMaxWorlds)) {
     return Status::ResourceExhausted(
         StrCat("exact enumeration visits at most ", kMaxWorlds,
@@ -23,16 +24,14 @@ Result<bool> IdentityWorldEnumerator::ForEachWorldIds(
   }
 
   const auto& groups = instance_->groups();
+  std::vector<std::vector<int64_t>> picks(groups.size());
   std::vector<size_t> members;
-
-  for (const WorldShape& shape : shapes) {
-    // Odometer of per-group subset selections.
-    std::vector<std::vector<int64_t>> picks(groups.size());
+  for (size_t shape = 0; shape < shapes.num_shapes(); ++shape) {
+    // Odometer of per-group k-subsets, the last group fastest.
+    const std::span<const int64_t> counts = shapes.counts(shape);
     for (size_t g = 0; g < groups.size(); ++g) {
-      picks[g].resize(static_cast<size_t>(shape.counts[g]));
-      for (size_t j = 0; j < picks[g].size(); ++j) {
-        picks[g][j] = static_cast<int64_t>(j);
-      }
+      picks[g].resize(static_cast<size_t>(counts[g]));
+      std::iota(picks[g].begin(), picks[g].end(), int64_t{0});
     }
     while (true) {
       if (!budget.Charge()) return budget.ToStatus();
@@ -44,32 +43,12 @@ Result<bool> IdentityWorldEnumerator::ForEachWorldIds(
         }
       }
       if (!fn(members)) return false;
-
-      // Advance: find the last group whose combination can advance.
+      // Each exhausted group wraps to its first subset and carries.
       size_t g = groups.size();
-      bool advanced = false;
-      while (g-- > 0 && !advanced) {
-        std::vector<int64_t>& combo = picks[g];
-        const int64_t n = groups[g].size;
-        const int64_t k = static_cast<int64_t>(combo.size());
-        // Next k-combination of {0..n-1} in lexicographic order.
-        int64_t i = k - 1;
-        while (i >= 0 && combo[static_cast<size_t>(i)] == n - k + i) --i;
-        if (i >= 0) {
-          ++combo[static_cast<size_t>(i)];
-          for (int64_t j = i + 1; j < k; ++j) {
-            combo[static_cast<size_t>(j)] = combo[static_cast<size_t>(j - 1)] + 1;
-          }
-          advanced = true;
-          // Reset all later groups to their first combination.
-          for (size_t h = g + 1; h < groups.size(); ++h) {
-            for (size_t j = 0; j < picks[h].size(); ++j) {
-              picks[h][j] = static_cast<int64_t>(j);
-            }
-          }
-        }
+      while (g > 0 && !NextSubsetOfSize(groups[g - 1].size, &picks[g - 1])) {
+        --g;
       }
-      if (!advanced) break;  // this shape is exhausted
+      if (g == 0) break;  // every group wrapped: the shape is done
     }
   }
   return true;

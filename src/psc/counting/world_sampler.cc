@@ -2,29 +2,21 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <utility>
 
 #include "psc/obs/metrics.h"
 #include "psc/obs/trace.h"
-#include "psc/util/combinatorics.h"
 
 namespace psc {
 
 WorldSampler::WorldSampler(const IdentityInstance* instance, ShapeTable table)
-    : instance_(instance), table_(std::move(table)) {
-  if (!table_.cumulative_128.empty()) {
-    total_128_ = table_.cumulative_128.back();
-    total_ = BigInt::FromUint128(total_128_);
-  } else if (!table_.cumulative.empty()) {
-    total_ = table_.cumulative.back();
-  }
-  const size_t num_groups = instance_->groups().size();
+    : instance_(instance), table_(std::move(table)), total_(table_.total()) {
   min_world_size_ = std::numeric_limits<size_t>::max();
   for (size_t shape = 0; shape < num_shapes(); ++shape) {
-    int64_t facts = 0;
-    for (size_t g = 0; g < num_groups; ++g) {
-      facts += table_.counts[shape * num_groups + g];
-    }
+    const std::span<const int64_t> counts = table_.counts(shape);
+    const int64_t facts = std::accumulate(counts.begin(), counts.end(),
+                                          int64_t{0});
     min_world_size_ = std::min(min_world_size_, static_cast<size_t>(facts));
   }
 }
@@ -33,8 +25,7 @@ Result<WorldSampler> WorldSampler::Create(const IdentityInstance* instance,
                                           const limits::Budget& budget) {
   PSC_CHECK(instance != nullptr);
   PSC_OBS_SPAN("counting.sampler_build");
-  BinomialTable binomials;
-  SignatureCounter counter(instance, &binomials);
+  SignatureCounter counter(instance);
   PSC_ASSIGN_OR_RETURN(ShapeTable table, counter.FeasibleShapeTable(budget));
   WorldSampler sampler(instance, std::move(table));
   if (sampler.total_.IsZero()) {
@@ -44,27 +35,12 @@ Result<WorldSampler> WorldSampler::Create(const IdentityInstance* instance,
   return sampler;
 }
 
-size_t WorldSampler::DrawShape(std::mt19937_64& engine) const {
-  // First shape whose cumulative weight exceeds the target.
-  const auto search = [](const auto& cumulative, const auto& target) {
-    const auto it = std::upper_bound(cumulative.begin(), cumulative.end(),
-                                     target);
-    PSC_CHECK(it != cumulative.end());
-    return static_cast<size_t>(it - cumulative.begin());
-  };
-  if (!table_.cumulative_128.empty()) {
-    return search(table_.cumulative_128,
-                  BigInt::RandomBelow128(total_128_, engine));
-  }
-  return search(table_.cumulative, BigInt::RandomBelow(total_, engine));
-}
-
 void WorldSampler::Draw(Rng* rng, DrawnWorld* world) const {
   PSC_CHECK(rng != nullptr && world != nullptr);
   PSC_OBS_COUNTER_INC("counting.sampler_draws");
   const auto& groups = instance_->groups();
-  const int64_t* counts =
-      table_.counts.data() + DrawShape(rng->engine()) * groups.size();
+  const std::span<const int64_t> counts =
+      table_.counts(table_.Draw(rng->engine()));
 
   world->groups_.clear();
   std::vector<uint32_t>& picks = world->picks_;
@@ -128,7 +104,7 @@ std::vector<size_t> WorldSampler::DrawableFacts() const {
   for (size_t g = 0; g < groups.size(); ++g) {
     bool drawn = false;
     for (size_t shape = 0; shape < num_shapes() && !drawn; ++shape) {
-      drawn = table_.counts[shape * groups.size() + g] > 0;
+      drawn = table_.counts(shape)[g] > 0;
     }
     if (drawn) {
       facts.insert(facts.end(), groups[g].members.begin(),

@@ -17,24 +17,19 @@ namespace psc {
 
 /// \brief Exact uniform sampler over poss(S) for identity-view instances.
 ///
-/// Built from the enumerated feasible world shapes, held as one flat count
-/// table and one array of cumulative weights in the number type
-/// `SignatureCounter::Count` sums in (`unsigned __int128` for universes of
-/// at most `SignatureCounter::kMax128BitUniverseFacts` facts, `BigInt`
-/// otherwise). A shape is drawn with probability proportional to its exact
-/// weight ∏_g C(n_g, k_g), by a prefix search on a uniformly random target
-/// below the total; both number types draw that target with the engine
-/// calls of `BigInt::RandomBelow`, so they pick the same shape. Then within
-/// each group a uniformly random k_g-subset of the group's tuples is
-/// chosen. The result is an exactly uniform draw from poss(S) — the
+/// Built from the feasible world shapes (`ShapeTable`). A shape is drawn
+/// with probability proportional to its exact weight ∏_g C(n_g, k_g)
+/// (`ShapeTable::Draw`), then within each group a uniformly random
+/// k_g-subset of the group's tuples is chosen. The result is an exactly
+/// uniform draw from poss(S) — the
 /// substrate for Monte-Carlo estimation of query confidences (experiments
 /// E5/E8) when exact per-query computation is infeasible.
 class WorldSampler {
  public:
   /// Enumerates feasible shapes (see `SignatureCounter::FeasibleShapeTable`;
-  /// `budget` is charged one node per count-vector tree node) and
-  /// prepares cumulative weights. Fails with Inconsistent when poss(S) is
-  /// empty, and with `budget.ToStatus()` when the budget trips.
+  /// `budget` is charged one node per count-vector tree node). Fails with
+  /// Inconsistent when poss(S) is empty, and with `budget.ToStatus()` when
+  /// the budget trips.
   static Result<WorldSampler> Create(const IdentityInstance* instance,
                                      const limits::Budget& budget =
                                          limits::Budget());
@@ -105,15 +100,8 @@ class WorldSampler {
  private:
   WorldSampler(const IdentityInstance* instance, ShapeTable table);
 
-  /// The index of a shape drawn with probability proportional to its
-  /// weight: the first whose cumulative weight exceeds a uniformly random
-  /// target below the total.
-  size_t DrawShape(std::mt19937_64& engine) const;
-
   const IdentityInstance* instance_;
   ShapeTable table_;
-  /// The total weight in the table's number type, and as a BigInt.
-  unsigned __int128 total_128_ = 0;
   BigInt total_;
   size_t min_world_size_ = 0;
 };

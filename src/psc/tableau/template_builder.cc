@@ -236,13 +236,13 @@ Result<bool> TemplateBuilder::ForEachAllowableCombination(
 }
 
 BigInt TemplateBuilder::CountAllowableCombinations() const {
-  BinomialTable binomials;
   BigInt total(1);
   for (const SourceDescriptor& source : collection_->sources()) {
     const int64_t k = static_cast<int64_t>(source.extension_size());
+    const std::vector<BigInt> row = BinomialRow(k);
     BigInt per_source;
     for (int64_t j = source.MinSoundFacts(); j <= k; ++j) {
-      per_source += binomials.Choose(k, j);
+      per_source += row[static_cast<size_t>(j)];
     }
     total = total * per_source;
   }

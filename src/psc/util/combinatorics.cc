@@ -4,9 +4,8 @@
 
 namespace psc {
 
-const std::vector<BigInt>& BinomialTable::Row(int64_t n) {
-  auto it = rows_.find(n);
-  if (it != rows_.end()) return it->second;
+std::vector<BigInt> BinomialRow(int64_t n) {
+  PSC_CHECK_MSG(n >= 0, "BinomialRow: negative argument");
   std::vector<BigInt> row(static_cast<size_t>(n) + 1);
   row[0] = BigInt(1);
   for (int64_t k = 0; k < n; ++k) {
@@ -16,13 +15,7 @@ const std::vector<BigInt>& BinomialTable::Row(int64_t n) {
     row[static_cast<size_t>(k + 1)] =
         next.DivExactU32(static_cast<uint32_t>(k + 1));
   }
-  return rows_.emplace(n, std::move(row)).first->second;
-}
-
-const BigInt& BinomialTable::Choose(int64_t n, int64_t k) {
-  PSC_CHECK_MSG(n >= 0 && k >= 0, "BinomialTable::Choose: negative argument");
-  if (k > n) return zero_;
-  return Row(n)[static_cast<size_t>(k)];
+  return row;
 }
 
 }  // namespace psc

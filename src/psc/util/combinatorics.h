@@ -2,39 +2,34 @@
 #define PSC_UTIL_COMBINATORICS_H_
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "psc/util/bigint.h"
 
 namespace psc {
 
-/// \brief Cache of binomial coefficients C(n, k) as exact big integers.
+/// \brief Row `n` of Pascal's triangle, C(n, 0..n), as exact big integers.
 ///
-/// The signature-grouping model counter multiplies one C(n_g, k_g) per group
-/// per enumerated world-shape, so lookups must be O(1) after the first
-/// touch. Each requested row n is materialized independently with the
-/// multiplicative recurrence C(n,k+1) = C(n,k)·(n−k)/(k+1) — O(n) big-int
-/// operations per row, never the O(n²) Pascal triangle (rows for group
-/// sizes in the tens of thousands are routine).
-class BinomialTable {
- public:
-  BinomialTable() = default;
+/// Built with the multiplicative recurrence C(n,k+1) = C(n,k)·(n−k)/(k+1):
+/// O(n) big-int operations, never the O(n²) triangle (rows for group sizes
+/// in the tens of thousands are routine). `n` must be >= 0.
+std::vector<BigInt> BinomialRow(int64_t n);
 
-  BinomialTable(const BinomialTable&) = delete;
-  BinomialTable& operator=(const BinomialTable&) = delete;
-
-  /// \brief Returns C(n, k); zero when k > n. `n` and `k` must be >= 0.
-  const BigInt& Choose(int64_t n, int64_t k);
-
-  /// \brief Returns row `n`, C(n, 0..n), materializing it on first use.
-  /// The reference stays valid for the table's lifetime.
-  const std::vector<BigInt>& Row(int64_t n);
-
- private:
-  std::map<int64_t, std::vector<BigInt>> rows_;
-  BigInt zero_;
-};
+/// \brief Advances `idx`, a k-subset of {0,…,n-1} as increasing indices,
+/// to the next k-subset in lexicographic order. From the last one it wraps
+/// to the first, {0,…,k-1}, and returns false.
+inline bool NextSubsetOfSize(int64_t n, std::vector<int64_t>* idx) {
+  std::vector<int64_t>& combo = *idx;
+  const int64_t k = static_cast<int64_t>(combo.size());
+  int64_t i = k - 1;
+  while (i >= 0 && combo[static_cast<size_t>(i)] == n - k + i) --i;
+  const bool advanced = i >= 0;
+  int64_t next = advanced ? combo[static_cast<size_t>(i)] + 1 : 0;
+  for (int64_t j = advanced ? i : 0; j < k; ++j) {
+    combo[static_cast<size_t>(j)] = next++;
+  }
+  return advanced;
+}
 
 /// \brief Enumerates all k-subsets of {0,…,n-1} in lexicographic order,
 /// invoking `fn` with the index vector. `fn` returns false to stop early.
@@ -43,28 +38,11 @@ class BinomialTable {
 template <typename Fn>
 bool ForEachSubsetOfSize(int64_t n, int64_t k, Fn&& fn) {
   if (k < 0 || k > n) return true;
-  std::vector<int64_t> idx(k);
-  for (int64_t i = 0; i < k; ++i) idx[i] = i;
-  while (true) {
+  std::vector<int64_t> idx(static_cast<size_t>(k));
+  for (int64_t i = 0; i < k; ++i) idx[static_cast<size_t>(i)] = i;
+  do {
     if (!fn(static_cast<const std::vector<int64_t>&>(idx))) return false;
-    // Advance to the next combination.
-    int64_t i = k - 1;
-    while (i >= 0 && idx[i] == n - k + i) --i;
-    if (i < 0) return true;
-    ++idx[i];
-    for (int64_t j = i + 1; j < k; ++j) idx[j] = idx[j - 1] + 1;
-  }
-}
-
-/// \brief Enumerates every subset of {0,…,n-1} with size >= min_size,
-/// as a bitmask (n <= 63). `fn` returns false to stop early.
-template <typename Fn>
-bool ForEachSubsetAtLeast(int64_t n, int64_t min_size, Fn&& fn) {
-  const uint64_t limit = uint64_t{1} << n;
-  for (uint64_t mask = 0; mask < limit; ++mask) {
-    if (static_cast<int64_t>(__builtin_popcountll(mask)) < min_size) continue;
-    if (!fn(mask)) return false;
-  }
+  } while (NextSubsetOfSize(n, &idx));
   return true;
 }
 

@@ -135,5 +135,37 @@ TEST(ConsensusTest, EmptyExtensionIsVacuouslySound) {
   EXPECT_DOUBLE_EQ((*consensus)[0].expected_soundness, 1.0);
 }
 
+TEST(ConsensusTest, BudgetOfOneNodeIsExhausted) {
+  // Example 5.1 over its extensions: the shape walk expands more nodes
+  // than the root.
+  auto collection =
+      MakeUnaryCollection({MakeUnarySource("S1", {0, 1}, "1/2", "1/2"),
+                           MakeUnarySource("S2", {1, 2}, "1/2", "1/2")});
+  auto instance = IdentityInstance::CreateOverExtensions(collection);
+  ASSERT_TRUE(instance.ok());
+  ASSERT_TRUE(ComputeSourceConsensus(*instance).ok());
+  const limits::Budget budget = limits::Budget::WithNodeBudget(1);
+  EXPECT_EQ(ComputeSourceConsensus(*instance, budget).status().code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(budget.reason(), limits::StopReason::kNodeBudget);
+}
+
+TEST(ConsensusTest, BudgetWithCancelledTokenStopsBeforeTheWalk) {
+  auto collection =
+      MakeUnaryCollection({MakeUnarySource("S1", {0, 1}, "1/2", "1/2"),
+                           MakeUnarySource("S2", {1, 2}, "1/2", "1/2")});
+  auto instance = IdentityInstance::Create(collection, IntDomain(5));
+  ASSERT_TRUE(instance.ok());
+  limits::CancelToken token;
+  token.Cancel();
+  limits::BudgetOptions options;
+  options.cancel = token;
+  const limits::Budget budget(options);
+  EXPECT_EQ(ComputeSourceConsensus(*instance, budget).status().code(),
+            StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(budget.reason(), limits::StopReason::kCancelled);
+  EXPECT_EQ(budget.nodes_charged(), 1u);
+}
+
 }  // namespace
 }  // namespace psc

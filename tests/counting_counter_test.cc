@@ -2,7 +2,11 @@
 
 #include "gtest/gtest.h"
 #include "psc/counting/confidence.h"
+#include "psc/counting/consensus.h"
 #include "psc/counting/linear_system.h"
+#include "psc/counting/world_enumerator.h"
+#include "psc/counting/world_sampler.h"
+#include "psc/obs/metrics.h"
 #include "psc/util/random.h"
 #include "psc/workload/random_collections.h"
 #include "test_util.h"
@@ -41,8 +45,7 @@ void ExpectCounterMatchesOracle(const SourceCollection& collection,
                                 const std::vector<Value>& domain) {
   auto instance = IdentityInstance::Create(collection, domain);
   ASSERT_TRUE(instance.ok()) << instance.status().ToString();
-  BinomialTable binomials;
-  SignatureCounter counter(&*instance, &binomials);
+  SignatureCounter counter(&*instance);
   auto outcome = counter.Count();
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
 
@@ -116,8 +119,7 @@ TEST(SignatureCounterTest, UnconstrainedCollectionCountsAllSubsets) {
       MakeUnaryCollection({MakeUnarySource("S", {0, 1}, "0", "0")});
   auto instance = IdentityInstance::Create(collection, IntDomain(10));
   ASSERT_TRUE(instance.ok());
-  BinomialTable binomials;
-  SignatureCounter counter(&*instance, &binomials);
+  SignatureCounter counter(&*instance);
   auto outcome = counter.Count();
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->world_count.ToString(), "1024");  // 2^10
@@ -130,8 +132,7 @@ TEST(SignatureCounterTest, InconsistentCollectionCountsZero) {
                            MakeUnarySource("S2", {1}, "1", "1")});
   auto instance = IdentityInstance::CreateOverExtensions(collection);
   ASSERT_TRUE(instance.ok());
-  BinomialTable binomials;
-  SignatureCounter counter(&*instance, &binomials);
+  SignatureCounter counter(&*instance);
   auto outcome = counter.Count();
   ASSERT_TRUE(outcome.ok());
   EXPECT_TRUE(outcome->world_count.IsZero());
@@ -142,8 +143,7 @@ TEST(SignatureCounterTest, FirstFeasibleShapeStopsEarly) {
       MakeUnaryCollection({MakeUnarySource("S", {0, 1}, "0", "0")});
   auto instance = IdentityInstance::Create(collection, IntDomain(12));
   ASSERT_TRUE(instance.ok());
-  BinomialTable binomials;
-  SignatureCounter counter(&*instance, &binomials);
+  SignatureCounter counter(&*instance);
   uint64_t visited = 0;
   auto first = counter.FirstFeasibleShape(&visited);
   ASSERT_TRUE(first.ok());
@@ -157,16 +157,16 @@ TEST(SignatureCounterTest, FeasibleShapesSumToWorldCount) {
                            MakeUnarySource("S2", {1, 2}, "1/2", "1/2")});
   auto instance = IdentityInstance::Create(collection, IntDomain(5));
   ASSERT_TRUE(instance.ok());
-  BinomialTable binomials;
-  SignatureCounter counter(&*instance, &binomials);
-  auto shapes = counter.FeasibleShapes();
+  SignatureCounter counter(&*instance);
+  auto shapes = counter.FeasibleShapeTable();
   ASSERT_TRUE(shapes.ok());
   BigInt sum;
-  for (const WorldShape& shape : *shapes) sum += shape.weight;
+  for (size_t i = 0; i < shapes->num_shapes(); ++i) sum += shapes->weight(i);
   auto outcome = counter.Count();
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(sum, outcome->world_count);
-  EXPECT_EQ(shapes->size(), outcome->feasible_shapes);
+  EXPECT_EQ(shapes->total(), outcome->world_count);
+  EXPECT_EQ(shapes->num_shapes(), outcome->feasible_shapes);
 }
 
 TEST(SignatureCounterTest, ShapeBudgetEnforced) {
@@ -174,12 +174,56 @@ TEST(SignatureCounterTest, ShapeBudgetEnforced) {
       MakeUnaryCollection({MakeUnarySource("S", {0}, "0", "0")});
   auto instance = IdentityInstance::Create(collection, IntDomain(8));
   ASSERT_TRUE(instance.ok());
-  BinomialTable binomials;
-  SignatureCounter counter(&*instance, &binomials);
+  SignatureCounter counter(&*instance);
   EXPECT_EQ(
       counter.Count(nullptr, limits::Budget::WithNodeBudget(3)).status().code(),
       StatusCode::kResourceExhausted);
 }
+
+#if PSC_OBS_ENABLED
+
+TEST(SignatureCounterTest, ShapeWalksCountTheirWork) {
+  // A sampler build, an enumeration and a consensus call each walk the
+  // shapes once: each adds the walk's visited count vectors and the
+  // table's feasible shapes, the numbers `Count` reports.
+  auto collection =
+      MakeUnaryCollection({MakeUnarySource("S1", {0, 1}, "1/2", "1/2"),
+                           MakeUnarySource("S2", {1, 2}, "1/2", "1/2")});
+  auto instance = IdentityInstance::Create(collection, IntDomain(5));
+  ASSERT_TRUE(instance.ok());
+  SignatureCounter counter(&*instance);
+  PSC_ASSERT_OK_AND_ASSIGN(const CountingOutcome outcome, counter.Count());
+  ASSERT_GT(outcome.visited_shapes, outcome.feasible_shapes);
+
+  const obs::MetricsRegistry& metrics = obs::GlobalMetrics();
+  const auto expect_one_walk = [&](const char* call, const auto& run) {
+    const uint64_t visited = metrics.CounterValue("counting.shapes_visited");
+    const uint64_t feasible =
+        metrics.CounterValue("counting.feasible_shapes");
+    run();
+    EXPECT_EQ(metrics.CounterValue("counting.shapes_visited") - visited,
+              outcome.visited_shapes)
+        << call;
+    EXPECT_EQ(metrics.CounterValue("counting.feasible_shapes") - feasible,
+              outcome.feasible_shapes)
+        << call;
+  };
+  expect_one_walk("sampler build", [&] {
+    EXPECT_TRUE(WorldSampler::Create(&*instance).ok());
+  });
+  expect_one_walk("enumeration", [&] {
+    IdentityWorldEnumerator enumerator(&*instance);
+    EXPECT_TRUE(
+        enumerator.ForEachWorldIds([](const std::vector<size_t>&) {
+          return true;
+        }).ok());
+  });
+  expect_one_walk("consensus", [&] {
+    EXPECT_TRUE(ComputeSourceConsensus(*instance).ok());
+  });
+}
+
+#endif  // PSC_OBS_ENABLED
 
 TEST(ConfidenceTableTest, CertainAndPossibleFacts) {
   // S1 exact on {0}: fact 0 is certain; fact 1 possible only.

@@ -14,7 +14,6 @@
 #include "psc/consistency/identity_consistency.h"
 #include "psc/counting/identity_instance.h"
 #include "psc/counting/model_counter.h"
-#include "psc/util/combinatorics.h"
 #include "psc/util/random.h"
 #include "psc/util/string_util.h"
 
@@ -207,19 +206,18 @@ TEST(IdentityInstanceDifferentialTest, WitnessMatchesFactByFactBuild) {
 
     auto instance = IdentityInstance::CreateOverExtensions(collection);
     ASSERT_TRUE(instance.ok()) << instance.status().ToString();
-    BinomialTable binomials;
-    SignatureCounter counter(&*instance, &binomials);
-    auto shape = counter.FirstFeasibleShape();
-    ASSERT_TRUE(shape.ok()) << shape.status().ToString();
-    ASSERT_EQ(report->consistent, shape->has_value());
-    if (!shape->has_value()) {
+    SignatureCounter counter(&*instance);
+    auto counts = counter.FirstFeasibleShape();
+    ASSERT_TRUE(counts.ok()) << counts.status().ToString();
+    ASSERT_EQ(report->consistent, counts->has_value());
+    if (!counts->has_value()) {
       EXPECT_FALSE(report->witness.has_value());
       continue;
     }
     Database expected;
     const auto& groups = instance->groups();
     for (size_t g = 0; g < groups.size(); ++g) {
-      for (int64_t j = 0; j < (**shape).counts[g]; ++j) {
+      for (int64_t j = 0; j < (**counts)[g]; ++j) {
         const size_t member = groups[g].members[static_cast<size_t>(j)];
         expected.AddFact(instance->relation(), instance->universe()[member]);
       }

@@ -4,11 +4,13 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <span>
 
 #include "gtest/gtest.h"
 #include "psc/counting/model_counter.h"
 #include "psc/counting/world_enumerator.h"
 #include "psc/source/measures.h"
+#include "psc/util/combinatorics.h"
 #include "psc/workload/cache_workload.h"
 #include "test_util.h"
 
@@ -149,7 +151,8 @@ std::vector<int64_t> DrawnCounts(const IdentityInstance& instance,
 TEST(WorldSamplerTest, DrawsPickTheShapesOfBigIntWeights) {
   // Cache fleets over domains padded with constants no cache lists, to
   // universes on both sides of the 128-bit bound: every draw must pick
-  // the shape a BigInt target over FeasibleShapes' weights picks.
+  // the shape a BigInt target over the weights ∏ C(n_g, k_g) picks, each
+  // computed here from the feasible count vectors.
   for (const int64_t facts : {100, 111, 121, 122, 160}) {
     CacheConfig config;
     config.num_objects = 50;
@@ -172,16 +175,26 @@ TEST(WorldSamplerTest, DrawsPickTheShapesOfBigIntWeights) {
     PSC_ASSERT_OK_AND_ASSIGN(const WorldSampler sampler,
                              WorldSampler::Create(&instance));
 
-    BinomialTable binomials;
-    SignatureCounter counter(&instance, &binomials);
-    PSC_ASSERT_OK_AND_ASSIGN(const std::vector<WorldShape> shapes,
-                             counter.FeasibleShapes());
-    ASSERT_EQ(sampler.num_shapes(), shapes.size());
-    ASSERT_GT(shapes.size(), 100u) << facts;
+    SignatureCounter counter(&instance);
+    PSC_ASSERT_OK_AND_ASSIGN(const ShapeTable table,
+                             counter.FeasibleShapeTable());
+    ASSERT_EQ(sampler.num_shapes(), table.num_shapes());
+    ASSERT_GT(table.num_shapes(), 100u) << facts;
+    std::vector<std::vector<BigInt>> rows;
+    for (const auto& group : instance.groups()) {
+      rows.push_back(BinomialRow(group.size));
+    }
+    std::vector<std::vector<int64_t>> shapes;
     std::vector<BigInt> cumulative;
     BigInt total;
-    for (const WorldShape& shape : shapes) {
-      total += shape.weight;
+    for (size_t s = 0; s < table.num_shapes(); ++s) {
+      const std::span<const int64_t> counts = table.counts(s);
+      shapes.emplace_back(counts.begin(), counts.end());
+      BigInt weight(1);
+      for (size_t g = 0; g < counts.size(); ++g) {
+        weight *= rows[g][static_cast<size_t>(counts[g])];
+      }
+      total += weight;
       cumulative.push_back(total);
     }
     EXPECT_EQ(sampler.world_count(), total);
@@ -192,18 +205,18 @@ TEST(WorldSamplerTest, DrawsPickTheShapesOfBigIntWeights) {
     for (int i = 0; i < 10000; ++i) {
       sampler.Draw(&rng, &world);
       const BigInt target = BigInt::RandomBelow(total, reference.engine());
-      const WorldShape& shape =
+      const std::vector<int64_t>& shape =
           shapes[static_cast<size_t>(
               std::upper_bound(cumulative.begin(), cumulative.end(),
                                target) -
               cumulative.begin())];
-      ASSERT_EQ(DrawnCounts(instance, world), shape.counts)
+      ASSERT_EQ(DrawnCounts(instance, world), shape)
           << facts << " facts, draw " << i;
       // The same RNG use as the sampler's Floyd picks: one call per pick
       // on each group's smaller side.
-      for (size_t g = 0; g < shape.counts.size(); ++g) {
+      for (size_t g = 0; g < shape.size(); ++g) {
         const int64_t n = instance.groups()[g].size;
-        const int64_t k = shape.counts[g];
+        const int64_t k = shape[g];
         if (k == 0) continue;
         for (int64_t j = n - std::min(k, n - k); j < n; ++j) {
           reference.UniformInt(0, j);

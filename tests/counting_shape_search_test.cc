@@ -1,10 +1,11 @@
 // Differential test of the level-bounded shape search: Count (sequential
-// and sharded), FeasibleShapes, FirstFeasibleShape and visited_shapes
+// and sharded), FeasibleShapeTable, FirstFeasibleShape and visited_shapes
 // against a brute-force loop over every count vector that decides each one
 // with IdentityInstance::CheckCounts.
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,9 +30,10 @@ using testing::U;
 struct BruteForce {
   BigInt world_count;
   std::vector<BigInt> worlds_containing;
-  std::vector<WorldShape> shapes;
+  /// Each feasible count vector and its weight ∏ C(n_g, k_g).
+  std::vector<std::vector<int64_t>> shapes;
+  std::vector<BigInt> weights;
   uint64_t visited = 0;
-  std::optional<WorldShape> first;
   uint64_t visited_to_first = 0;
 };
 
@@ -51,19 +53,20 @@ bool PassesSoundness(const IdentityInstance& instance,
 
 BruteForce EveryCountVector(const IdentityInstance& instance) {
   const auto& groups = instance.groups();
-  BinomialTable binomials;
+  std::vector<std::vector<BigInt>> rows;
+  for (const auto& group : groups) rows.push_back(BinomialRow(group.size));
   BruteForce expected;
   std::vector<BigInt> marked(groups.size());
   std::vector<int64_t> counts(groups.size(), 0);
   while (true) {
     if (PassesSoundness(instance, counts)) {
       ++expected.visited;
-      if (!expected.first.has_value()) ++expected.visited_to_first;
+      if (expected.shapes.empty()) ++expected.visited_to_first;
     }
     if (instance.CheckCounts(counts)) {
       BigInt weight(1);
       for (size_t g = 0; g < groups.size(); ++g) {
-        weight *= binomials.Choose(groups[g].size, counts[g]);
+        weight *= rows[g][static_cast<size_t>(counts[g])];
       }
       expected.world_count += weight;
       for (size_t g = 0; g < groups.size(); ++g) {
@@ -71,8 +74,8 @@ BruteForce EveryCountVector(const IdentityInstance& instance) {
         term.MulU32(static_cast<uint32_t>(counts[g]));
         marked[g] += term;
       }
-      expected.shapes.push_back(WorldShape{counts, weight});
-      if (!expected.first.has_value()) expected.first = expected.shapes.back();
+      expected.shapes.push_back(counts);
+      expected.weights.push_back(weight);
     }
     // Odometer step, last group fastest.
     size_t g = groups.size();
@@ -142,8 +145,7 @@ RandomInstance MakeRandomInstance(Rng* rng, bool past_128_bits) {
 void ExpectSearchMatchesBruteForce(const IdentityInstance& instance,
                                    exec::ThreadPool* pool) {
   const BruteForce expected = EveryCountVector(instance);
-  BinomialTable binomials;
-  SignatureCounter counter(&instance, &binomials);
+  SignatureCounter counter(&instance);
 
   for (exec::ThreadPool* count_pool : {static_cast<exec::ThreadPool*>(nullptr),
                                        pool}) {
@@ -155,21 +157,24 @@ void ExpectSearchMatchesBruteForce(const IdentityInstance& instance,
     EXPECT_EQ(outcome.visited_shapes, expected.visited);
   }
 
-  PSC_ASSERT_OK_AND_ASSIGN(const std::vector<WorldShape> shapes,
-                           counter.FeasibleShapes());
-  ASSERT_EQ(shapes.size(), expected.shapes.size());
-  for (size_t s = 0; s < shapes.size(); ++s) {
-    EXPECT_EQ(shapes[s].counts, expected.shapes[s].counts) << "shape " << s;
-    EXPECT_EQ(shapes[s].weight, expected.shapes[s].weight) << "shape " << s;
+  PSC_ASSERT_OK_AND_ASSIGN(const ShapeTable table,
+                           counter.FeasibleShapeTable());
+  ASSERT_EQ(table.num_shapes(), expected.shapes.size());
+  for (size_t s = 0; s < table.num_shapes(); ++s) {
+    const std::span<const int64_t> counts = table.counts(s);
+    EXPECT_EQ(std::vector<int64_t>(counts.begin(), counts.end()),
+              expected.shapes[s])
+        << "shape " << s;
+    EXPECT_EQ(table.weight(s), expected.weights[s]) << "shape " << s;
   }
+  EXPECT_EQ(table.total(), expected.world_count);
 
   uint64_t visited = 0;
-  PSC_ASSERT_OK_AND_ASSIGN(const std::optional<WorldShape> first,
+  PSC_ASSERT_OK_AND_ASSIGN(const std::optional<std::vector<int64_t>> first,
                            counter.FirstFeasibleShape(&visited));
-  ASSERT_EQ(first.has_value(), expected.first.has_value());
+  ASSERT_EQ(first.has_value(), !expected.shapes.empty());
   if (first.has_value()) {
-    EXPECT_EQ(first->counts, expected.first->counts);
-    EXPECT_EQ(first->weight, expected.first->weight);
+    EXPECT_EQ(*first, expected.shapes.front());
   }
   EXPECT_EQ(visited, expected.visited_to_first);
 }

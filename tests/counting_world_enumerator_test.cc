@@ -1,10 +1,13 @@
 #include "psc/counting/world_enumerator.h"
 
 #include <set>
+#include <string>
 
 #include "gtest/gtest.h"
 #include "psc/consistency/possible_worlds.h"
 #include "psc/counting/confidence.h"
+#include "psc/util/random.h"
+#include "psc/workload/random_collections.h"
 #include "test_util.h"
 
 namespace psc {
@@ -40,6 +43,67 @@ TEST(WorldEnumeratorTest, MatchesBruteForceSetOfWorlds) {
                   })
                   .ok());
   EXPECT_EQ(via_groups, via_brute);
+}
+
+/// The worlds `ForEachWorldIds` visits, in order, each as its universe
+/// positions in the order it lists them: "(1)(2 1)…".
+std::string WorldSequence(const IdentityInstance& instance) {
+  std::string sequence;
+  IdentityWorldEnumerator enumerator(&instance);
+  auto completed =
+      enumerator.ForEachWorldIds([&](const std::vector<size_t>& members) {
+        sequence += "(";
+        for (size_t j = 0; j < members.size(); ++j) {
+          sequence += (j == 0 ? "" : " ") + std::to_string(members[j]);
+        }
+        sequence += ")";
+        return true;
+      });
+  EXPECT_TRUE(completed.ok()) << completed.status().ToString();
+  return sequence;
+}
+
+TEST(WorldEnumeratorTest, VisitsTheRecordedWorldSequence) {
+  // The visiting order is pinned (DESIGN §3, the identity compile):
+  // shapes in the table's order, then each group's k-subsets in
+  // lexicographic order, the last group fastest.
+  //
+  // Example 5.1 over a, b, c, d1 (0-3): every group holds one fact.
+  const SourceCollection example =
+      MakeUnaryCollection({MakeUnarySource("S1", {0, 1}, "1/2", "1/2"),
+                           MakeUnarySource("S2", {1, 2}, "1/2", "1/2")});
+  PSC_ASSERT_OK_AND_ASSIGN(const IdentityInstance example_instance,
+                           IdentityInstance::Create(example, IntDomain(4)));
+  EXPECT_EQ(WorldSequence(example_instance),
+            "(1)(2 1)(0 1)(0 2)(0 2 1)(3 1)(3 0 2 1)");
+
+  // Three random sources over 8 facts: groups {4 7}, {2 6}, {0 5}, {1}
+  // and {3}, so a shape can advance three two-fact groups at once.
+  RandomIdentityConfig config;
+  config.num_sources = 3;
+  config.universe_size = 8;
+  config.max_extension = 5;
+  Rng rng(79);
+  PSC_ASSERT_OK_AND_ASSIGN(const SourceCollection random,
+                           MakeRandomIdentityCollection(config, &rng));
+  PSC_ASSERT_OK_AND_ASSIGN(const IdentityInstance random_instance,
+                           IdentityInstance::Create(random, IntDomain(8)));
+  ASSERT_EQ(random_instance.groups().size(), 5u);
+  EXPECT_EQ(
+      WorldSequence(random_instance),
+      "(1 3)(0 1 3)(5 1 3)(0 5 1 3)(2 1)(6 1)(2 1 3)(6 1 3)(2 0 1)(2 5 1)"
+      "(6 0 1)(6 5 1)(2 0 1 3)(2 5 1 3)(6 0 1 3)(6 5 1 3)(2 0 5 1)"
+      "(6 0 5 1)(2 0 5 1 3)(6 0 5 1 3)(2 6 1 3)(2 6 0 1)(2 6 5 1)"
+      "(2 6 0 1 3)(2 6 5 1 3)(2 6 0 5 1)(2 6 0 5 1 3)(4 1 3)(7 1 3)"
+      "(4 0 1 3)(4 5 1 3)(7 0 1 3)(7 5 1 3)(4 2 1 3)(4 6 1 3)(7 2 1 3)"
+      "(7 6 1 3)(4 2 0 1)(4 2 5 1)(4 6 0 1)(4 6 5 1)(7 2 0 1)(7 2 5 1)"
+      "(7 6 0 1)(7 6 5 1)(4 2 0 1 3)(4 2 5 1 3)(4 6 0 1 3)(4 6 5 1 3)"
+      "(7 2 0 1 3)(7 2 5 1 3)(7 6 0 1 3)(7 6 5 1 3)(4 2 0 5 1 3)"
+      "(4 6 0 5 1 3)(7 2 0 5 1 3)(7 6 0 5 1 3)(4 2 6 0 1 3)(4 2 6 5 1 3)"
+      "(7 2 6 0 1 3)(7 2 6 5 1 3)(4 2 6 0 5 1)(7 2 6 0 5 1)"
+      "(4 2 6 0 5 1 3)(7 2 6 0 5 1 3)(4 7 1 3)(4 7 2 0 1 3)(4 7 2 5 1 3)"
+      "(4 7 6 0 1 3)(4 7 6 5 1 3)(4 7 2 0 5 1 3)(4 7 6 0 5 1 3)"
+      "(4 7 2 6 0 5 1 3)");
 }
 
 TEST(WorldEnumeratorTest, CountMatchesCounter) {

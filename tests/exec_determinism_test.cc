@@ -40,8 +40,7 @@ TEST(CountingDeterminismTest, SignatureCounterMatchesSequentialAcrossPools) {
     PSC_ASSERT_OK_AND_ASSIGN(
         const IdentityInstance instance,
         IdentityInstance::Create(collection, IntDomain(5)));
-    BinomialTable binomials;
-    SignatureCounter counter(&instance, &binomials);
+    SignatureCounter counter(&instance);
     PSC_ASSERT_OK_AND_ASSIGN(const CountingOutcome sequential,
                              counter.Count());
     for (const size_t threads : {2, 4, 8}) {

@@ -64,8 +64,7 @@ TEST_P(ConsistencyPropertyTest, CounterAgreesWithBruteForceOracle) {
     auto instance =
         IdentityInstance::Create(*collection, IntDomain(param.universe));
     ASSERT_TRUE(instance.ok());
-    BinomialTable binomials;
-    SignatureCounter counter(&*instance, &binomials);
+    SignatureCounter counter(&*instance);
     auto outcome = counter.Count();
     ASSERT_TRUE(outcome.ok());
     BruteForceWorldEnumerator oracle(&*collection, IntDomain(param.universe));

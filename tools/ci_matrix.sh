@@ -97,13 +97,13 @@ cmake --build "${asan_dir}" -j "${jobs}"
 
 # Repeat stage in the same ASan+UBSan build: a race that fails one run in
 # ten passes a single run by luck, so the budget and cancellation tests
-# of the core, limits, counting and exec suites, and the shared-pool
-# tests (nested loops, late helpers), run up to 50 times each and stop at
-# the first failure.
+# of the core, limits, counting (consensus included) and exec suites, and
+# the shared-pool tests (nested loops, late helpers), run up to 50 times
+# each and stop at the first failure.
 echo "=== budget/cancellation and shared-pool tests x50 under ASan+UBSan -> ${asan_dir} ==="
 (cd "${asan_dir}" && ctest --output-on-failure -j "${jobs}" \
   --repeat until-fail:50 \
-  -R 'QuerySystemOptionsTest|NodeBudgetTest|Deadline.*Test|SignatureCounterTest|ShardsCancelledTest|SharedPoolTest')
+  -R 'QuerySystemOptionsTest|NodeBudgetTest|Deadline.*Test|SignatureCounterTest|ConsensusTest\.Budget|ShardsCancelledTest|SharedPoolTest')
 
 # Debug build: rank checking defaults ON there (see
 # src/psc/sync/mutex.cc RankCheckingDefault), so running the
@@ -253,7 +253,8 @@ run_smoke "psc answer --method mc (sparse worlds, per-block groups)" \
   --method mc --samples 500 --seed 3 --domain "$(seq -s, 0 99)"
 # A dense two-cache fleet of 150 facts, past the 121 a 128-bit shape
 # table holds: the sampler weighs its shapes in BigInt, and every tuple of
-# Ans(x) <- Object(x) is its one fact, so the call counts per fact.
+# Ans(x) <- Object(x) is its one fact, so the call counts per fact. The
+# sampler build's shape walk counts its visited shapes.
 big_fleet_input="$(mktemp)"
 binary_input="$(mktemp)"
 mc_metrics="$(mktemp)"
@@ -278,7 +279,8 @@ run_smoke "psc answer --method mc (dense 150-fact fleet, per-fact counts)" \
   'Ans(x) <- Object(x)' --method mc --samples 500 --seed 3 --quiet \
   --metrics-out "${mc_metrics}" > /dev/null
 python3 tools/check_metrics_schema.py \
-  --require-counter query.mc_per_fact_calls "${mc_metrics}"
+  --require-counter query.mc_per_fact_calls \
+  --require-counter counting.shapes_visited "${mc_metrics}"
 # A dense binary collection: every world keeps at least 8 of A's 10
 # facts, so the call builds one lineage, but x = 0..4 each have two
 # facts, so the projection tests every world against the derivations.

@@ -305,7 +305,8 @@ QuerySystem::Options SystemOptions(const CliOptions& options) {
   return system_options;
 }
 
-/// Budget for the commands that bypass QuerySystem (certain, audit).
+/// Budget for the commands that bypass QuerySystem (certain, consensus,
+/// audit).
 /// Always active: it adopts the interrupt token so ^C unwinds these
 /// commands through their graceful-degradation paths too.
 limits::Budget CliBudget(const CliOptions& options) {
@@ -535,10 +536,11 @@ int RunCertain(const SourceCollection& collection,
   return 0;
 }
 
-int RunConsensus(const SourceCollection& collection) {
+int RunConsensus(const SourceCollection& collection,
+                 const CliOptions& options) {
   auto instance = IdentityInstance::CreateOverExtensions(collection);
   if (!instance.ok()) return Fail(instance.status());
-  auto consensus = ComputeSourceConsensus(*instance);
+  auto consensus = ComputeSourceConsensus(*instance, CliBudget(options));
   if (!consensus.ok()) return Fail(consensus.status());
   std::printf("%-12s | %10s | %10s | %10s | %10s | %8s\n", "source",
               "E[sound]", "claimed", "E[compl]", "claimed", "slack");
@@ -666,7 +668,9 @@ int Main(int argc, char** argv) {
                             : RunAnswer(*collection, *options);
     }
     if (command == "certain") exit_code = RunCertain(*collection, *options);
-    if (command == "consensus") exit_code = RunConsensus(*collection);
+    if (command == "consensus") {
+      exit_code = RunConsensus(*collection, *options);
+    }
     if (command == "audit") exit_code = RunAudit(*collection, *options);
   }
   if (exit_code < 0) return Usage();
