@@ -77,7 +77,6 @@ void PrintTable() {
 
     GeneralConsistencyChecker::Options options;
     options.budget = limits::Budget::WithNodeBudget(4096);
-    options.enable_exhaustive = false;
     const GeneralConsistencyChecker checker(options);
     stopwatch.Reset();
     auto report = checker.Check(federation->collection);

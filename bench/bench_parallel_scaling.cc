@@ -70,7 +70,6 @@ void SweepConsistency() {
   for (const size_t threads : kThreadCounts) {
     GeneralConsistencyChecker::Options options;
     options.budget = limits::Budget::WithNodeBudget(4096);
-    options.enable_exhaustive = false;
     options.threads = threads;
     const GeneralConsistencyChecker checker(options);
     bench_util::Stopwatch stopwatch;
@@ -168,7 +167,6 @@ BENCHMARK(BM_ParallelSignatureCount)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 void BM_ParallelFreezeSearch(benchmark::State& state) {
   const SourceCollection collection = FreezeScanCollection();
   GeneralConsistencyChecker::Options options;
-  options.enable_exhaustive = false;
   options.threads = static_cast<size_t>(state.range(0));
   for (auto _ : state) {
     // Budgets are spent by the check, so every iteration gets a fresh one.

@@ -67,7 +67,7 @@ namespace {
 Result<std::optional<Database>> TryCanonicalFreezeParallel(
     const SourceCollection& collection,
     const GeneralConsistencyChecker::Options& options, size_t threads,
-    ConsistencyReport* report, bool* hit_limits) {
+    ConsistencyReport* report) {
   TemplateBuilder builder(&collection);
   constexpr size_t kBlockSize = 16;
   constexpr uint64_t kNoIndex = ~uint64_t{0};
@@ -82,7 +82,6 @@ Result<std::optional<Database>> TryCanonicalFreezeParallel(
     std::atomic<uint64_t> bound;
     std::atomic<uint64_t> combinations_tried{0};
     std::atomic<uint64_t> candidates_checked{0};
-    std::atomic<bool> hit_limits{false};
   };
   SearchState state;
   state.best_index = kNoIndex;
@@ -123,12 +122,9 @@ Result<std::optional<Database>> TryCanonicalFreezeParallel(
     PSC_OBS_COUNTER_INC("consistency.combinations_tried");
     auto built = builder.BuildTableau(combination);
     if (!built.ok()) {
-      if (built.status().code() == StatusCode::kUnimplemented) {
-        // A built-in constrains an existential variable; this
-        // combination cannot be frozen faithfully.
-        state.hit_limits.store(true, std::memory_order_relaxed);
-        return;
-      }
+      // A built-in constrains an existential variable: this combination
+      // cannot be frozen faithfully, so it decides nothing.
+      if (built.status().code() == StatusCode::kUnimplemented) return;
       record(index, built.status(), std::nullopt);
       return;
     }
@@ -167,15 +163,11 @@ Result<std::optional<Database>> TryCanonicalFreezeParallel(
           return false;  // a lower index already decided the search
         }
         if (next_index >= GeneralConsistencyChecker::kMaxFreezeCombinations) {
-          state.hit_limits.store(true, std::memory_order_relaxed);
           return false;
         }
         // One budget node per combination; on a trip the caller reads the
         // reason off the shared budget and degrades to kUnknown.
-        if (!options.budget.Charge()) {
-          state.hit_limits.store(true, std::memory_order_relaxed);
-          return false;
-        }
+        if (!options.budget.Charge()) return false;
         const uint64_t index = next_index++;
         if (threads == 1 || index == 0) {
           evaluate(index, combination);
@@ -201,7 +193,6 @@ Result<std::optional<Database>> TryCanonicalFreezeParallel(
       state.combinations_tried.load(std::memory_order_relaxed);
   report->candidates_checked =
       state.candidates_checked.load(std::memory_order_relaxed);
-  if (state.hit_limits.load(std::memory_order_relaxed)) *hit_limits = true;
   sync::MutexLock lock(&state.mu);
   PSC_RETURN_NOT_OK(state.error);
   return std::move(state.witness);
@@ -245,15 +236,14 @@ Result<ConsistencyReport> GeneralConsistencyChecker::Check(
   }
 
   // Strategy 2: canonical freezing of Theorem 4.1 templates. With more
-  // than one resolved worker the combinations after the first run on a
-  // work-stealing pool; the outcome is deterministic (minimal-index
-  // witness), so every thread count returns the same verdict and witness.
-  bool hit_limits = false;
+  // than one resolved worker the combinations after the first run on the
+  // shared pool; the outcome is deterministic (minimal-index witness), so
+  // every thread count returns the same verdict and witness.
   PSC_ASSIGN_OR_RETURN(
       std::optional<Database> witness,
       TryCanonicalFreezeParallel(collection, options_,
                                  exec::ResolveThreadCount(options_.threads),
-                                 &report, &hit_limits));
+                                 &report));
   if (witness.has_value()) {
     report.verdict = ConsistencyVerdict::kConsistent;
     report.witness = std::move(witness);
@@ -272,69 +262,58 @@ Result<ConsistencyReport> GeneralConsistencyChecker::Check(
 
   // Strategy 3: exhaustive search over the canonical domain within the
   // Lemma 3.1 bound.
-  if (options_.enable_exhaustive) {
-    std::vector<Value> domain = collection.MentionedConstants();
-    // The Theorem 3.2 NP procedure fixes m·p·k constants; we add fresh ones
-    // up to kMaxFreshConstants and remember whether we reached the bound.
-    size_t max_body = 0;
-    size_t max_arity = 1;
-    for (const SourceDescriptor& source : collection.sources()) {
-      max_body = std::max(max_body, source.view().RelationalBodySize());
-    }
-    for (const std::string& name : collection.schema().RelationNames()) {
-      auto arity = collection.schema().Arity(name);
-      if (arity.ok()) max_arity = std::max(max_arity, *arity);
-    }
-    const size_t constants_needed =
-        max_body * collection.TotalExtensionSize() * max_arity;
-    const size_t fresh_needed =
-        constants_needed > domain.size() ? constants_needed - domain.size()
-                                         : 0;
-    const size_t fresh_added = std::min(fresh_needed, kMaxFreshConstants);
-    for (size_t i = 0; i < fresh_added; ++i) {
-      domain.push_back(Value(StrCat("\xE2\x8A\xA5", i)));  // "⊥i"
-    }
-    const bool domain_complete = fresh_added == fresh_needed;
+  std::vector<Value> domain = collection.MentionedConstants();
+  // The Theorem 3.2 NP procedure fixes m·p·k constants; we add fresh ones
+  // up to kMaxFreshConstants and remember whether we reached the bound.
+  size_t max_body = 0;
+  size_t max_arity = 1;
+  for (const SourceDescriptor& source : collection.sources()) {
+    max_body = std::max(max_body, source.view().RelationalBodySize());
+  }
+  for (const std::string& name : collection.schema().RelationNames()) {
+    auto arity = collection.schema().Arity(name);
+    if (arity.ok()) max_arity = std::max(max_arity, *arity);
+  }
+  const size_t constants_needed =
+      max_body * collection.TotalExtensionSize() * max_arity;
+  const size_t fresh_needed =
+      constants_needed > domain.size() ? constants_needed - domain.size() : 0;
+  const size_t fresh_added = std::min(fresh_needed, kMaxFreshConstants);
+  for (size_t i = 0; i < fresh_added; ++i) {
+    domain.push_back(Value(StrCat("\xE2\x8A\xA5", i)));  // "⊥i"
+  }
+  const bool domain_complete = fresh_added == fresh_needed;
 
-    BruteForceWorldEnumerator enumerator(&collection, domain,
-                                         options_.budget);
-    std::optional<Database> found;
-    auto completed = enumerator.ForEachPossibleWorld([&](const Database& db) {
-      ++report.candidates_checked;
-      found = db;
-      return false;
-    });
-    if (completed.ok()) {
-      if (found.has_value()) {
-        report.verdict = ConsistencyVerdict::kConsistent;
-        report.witness = std::move(found);
-        report.method = "exhaustive";
-        PSC_OBS_GAUGE_SET("consistency.witness_facts",
-                          report.witness->size());
-        return report;
-      }
-      if (domain_complete) {
-        report.verdict = ConsistencyVerdict::kInconsistent;
-        report.method = "exhaustive";
-        return report;
-      }
-      report.unknown_reason = StrCat(
-          "no witness over a truncated canonical domain (needed ",
-          fresh_needed, " fresh constants, searched with ", fresh_added, ")");
+  BruteForceWorldEnumerator enumerator(&collection, domain, options_.budget);
+  std::optional<Database> found;
+  auto completed = enumerator.ForEachPossibleWorld([&](const Database& db) {
+    ++report.candidates_checked;
+    found = db;
+    return false;
+  });
+  if (completed.ok()) {
+    if (found.has_value()) {
+      report.verdict = ConsistencyVerdict::kConsistent;
+      report.witness = std::move(found);
+      report.method = "exhaustive";
+      PSC_OBS_GAUGE_SET("consistency.witness_facts", report.witness->size());
       return report;
     }
-    if (completed.status().code() != StatusCode::kResourceExhausted &&
-        completed.status().code() != StatusCode::kDeadlineExceeded) {
-      return completed.status();
+    if (domain_complete) {
+      report.verdict = ConsistencyVerdict::kInconsistent;
+      report.method = "exhaustive";
+      return report;
     }
-    report.unknown_reason = completed.status().message();
+    report.unknown_reason = StrCat(
+        "no witness over a truncated canonical domain (needed ", fresh_needed,
+        " fresh constants, searched with ", fresh_added, ")");
     return report;
   }
-
-  report.unknown_reason =
-      hit_limits ? "canonical-freeze pass hit resource limits"
-                 : "canonical-freeze found no witness and the exhaustive "
-                   "fallback is disabled";
+  if (completed.status().code() != StatusCode::kResourceExhausted &&
+      completed.status().code() != StatusCode::kDeadlineExceeded) {
+    return completed.status();
+  }
+  report.unknown_reason = completed.status().message();
   return report;
 }
 

@@ -90,7 +90,6 @@ class GeneralConsistencyChecker {
   static constexpr size_t kMaxFreshConstants = 4;
 
   struct Options {
-    bool enable_exhaustive = true;
     /// Worker threads for the canonical-freeze search. 0 (the default)
     /// resolves via PSC_THREADS / hardware_concurrency(); 1 evaluates
     /// every combination on the calling thread. Above one thread,

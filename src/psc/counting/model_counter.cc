@@ -476,57 +476,64 @@ Result<CountingOutcome> SignatureCounter::Count(exec::ThreadPool* pool,
 namespace {
 
 /// Appends each feasible shape's counts to `counts` and its running
-/// weight total, in `Num` arithmetic, to `cumulative`; false when more
-/// than `kMaxStoredShapes` are feasible. `visited` receives the walk's
-/// count vectors that pass every soundness test.
+/// weight total, in `Num` arithmetic, to `cumulative`, up to the first
+/// total above `max_total`; false when more than `kMaxStoredShapes` are
+/// feasible. `visited` receives the walk's count vectors that pass every
+/// soundness test.
 template <typename Num>
 Result<bool> FillShapeTable(
     const IdentityInstance& instance,
     std::vector<const std::vector<Num>*> rows,
     const std::vector<std::vector<int64_t>>& suffix_max,
-    const limits::Budget& budget, std::vector<int64_t>* counts,
-    std::vector<Num>* cumulative, uint64_t* visited) {
+    const limits::Budget& budget, std::optional<uint64_t> max_total,
+    std::vector<int64_t>* counts, std::vector<Num>* cumulative,
+    uint64_t* visited) {
   ShapeEnumerator<Num> enumerator(instance, std::move(rows), suffix_max,
                                   budget);
+  std::optional<Num> bound;
+  if (max_total.has_value()) bound = Num(*max_total);
+  bool stored_all = true;
   Num total{};
-  auto completed = enumerator.ForEachShape(
+  auto walked = enumerator.ForEachShape(
       [&](const std::vector<int64_t>& shape, const Num& weight) {
         if (cumulative->size() == SignatureCounter::kMaxStoredShapes) {
+          stored_all = false;
           return false;
         }
         counts->insert(counts->end(), shape.begin(), shape.end());
         total += weight;
         cumulative->push_back(total);
-        return true;
+        return !bound.has_value() || !(total > *bound);
       });
   *visited = enumerator.visited();
-  return completed;
+  PSC_RETURN_NOT_OK(walked.status());
+  return stored_all;
 }
 
 }  // namespace
 
 Result<ShapeTable> SignatureCounter::FeasibleShapeTable(
-    const limits::Budget& budget) {
+    const limits::Budget& budget, std::optional<uint64_t> max_total) {
   ShapeTable table;
   table.num_groups_ = instance_->groups().size();
-  bool completed = false;
+  bool stored_all = false;
   uint64_t visited = 0;
   if (instance_->universe().size() <= kMax128BitUniverseFacts) {
     std::map<int64_t, std::vector<Uint128>> owned;
     PSC_ASSIGN_OR_RETURN(
-        completed,
+        stored_all,
         FillShapeTable(*instance_, BinomialRows(*instance_, &owned),
-                       suffix_max_, budget, &table.counts_,
+                       suffix_max_, budget, max_total, &table.counts_,
                        &table.cumulative_128_, &visited));
   } else {
     std::map<int64_t, std::vector<BigInt>> owned;
     PSC_ASSIGN_OR_RETURN(
-        completed,
+        stored_all,
         FillShapeTable(*instance_, BinomialRows(*instance_, &owned),
-                       suffix_max_, budget, &table.counts_, &table.cumulative_,
-                       &visited));
+                       suffix_max_, budget, max_total, &table.counts_,
+                       &table.cumulative_, &visited));
   }
-  if (!completed) {
+  if (!stored_all) {
     return Status::ResourceExhausted(
         StrCat("more than ", kMaxStoredShapes, " feasible shapes"));
   }

@@ -135,8 +135,13 @@ class SignatureCounter {
   /// the budget trips (charged as `Count` charges). Adds the walk's
   /// visited and feasible shapes to `counting.shapes_visited` and
   /// `counting.feasible_shapes`, as `Count` does.
+  ///
+  /// With `max_total`, the walk stops at the first shape whose running
+  /// total passes it: the table then ends at that shape, and a `total()`
+  /// above `max_total` tells the caller that poss(S) is larger.
   Result<ShapeTable> FeasibleShapeTable(
-      const limits::Budget& budget = limits::Budget());
+      const limits::Budget& budget = limits::Budget(),
+      std::optional<uint64_t> max_total = std::nullopt);
 
   /// \brief Stops at the first feasible shape — a constructive consistency
   /// check — and returns its counts, weighing nothing. nullopt when

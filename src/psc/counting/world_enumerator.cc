@@ -14,13 +14,14 @@ Result<bool> IdentityWorldEnumerator::ForEachWorldIds(
     const std::function<bool(const std::vector<size_t>&)>& fn,
     const limits::Budget& budget) const {
   SignatureCounter counter(instance_);
+  // The walk stops at the first shape past the bound, so a refused
+  // enumeration stores only the shapes up to it.
   PSC_ASSIGN_OR_RETURN(const ShapeTable shapes,
-                       counter.FeasibleShapeTable(budget));
-  const BigInt worlds = shapes.total();
-  if (worlds > BigInt(kMaxWorlds)) {
+                       counter.FeasibleShapeTable(budget, kMaxWorlds));
+  if (shapes.total() > BigInt(kMaxWorlds)) {
     return Status::ResourceExhausted(
         StrCat("exact enumeration visits at most ", kMaxWorlds,
-               " worlds; poss(S) has ", worlds.ToString()));
+               " worlds; poss(S) has more"));
   }
 
   const auto& groups = instance_->groups();

@@ -33,7 +33,8 @@ class IdentityWorldEnumerator {
   /// universe, given as the indices of its facts in the instance's
   /// universe; `fn` returns false to stop early. Result is false iff
   /// stopped early. Fails with ResourceExhausted, before any world, when
-  /// |poss(S)| exceeds `kMaxWorlds` or the feasible shapes exceed
+  /// |poss(S)| exceeds `kMaxWorlds` (the shape walk stops at the first
+  /// shape past it) or the feasible shapes exceed
   /// `SignatureCounter::kMaxStoredShapes`, and with `budget.ToStatus()`
   /// when the cooperative budget trips (one node charged per count-vector
   /// tree node, then one per world produced).

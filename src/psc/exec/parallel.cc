@@ -80,7 +80,7 @@ void ParallelFor(ThreadPool* pool, size_t n,
   const auto loop = std::make_shared<Loop>(n, &body, cancel);
   // The submitting thread's telemetry context (active obs::Scope +
   // innermost open span) travels with every helper, so the query's metric
-  // attribution and span tree survive work-stealing onto other threads.
+  // attribution and span tree survive the hop onto pool workers.
   const obs::TraceContext trace_context = obs::CaptureTraceContext();
   // The caller is one of the loop's runners, so it asks for one helper
   // fewer than it could use.

@@ -1,7 +1,9 @@
 #include "psc/exec/thread_pool.h"
 
+#include <cstdint>
 #include <cstdlib>
 #include <map>
+#include <memory>
 #include <string>
 
 #include "psc/obs/log.h"
@@ -11,16 +13,6 @@
 
 namespace psc {
 namespace exec {
-
-namespace {
-
-/// Worker index of the current thread inside *some* pool, or SIZE_MAX.
-/// Used to route nested submissions onto the submitter's own deque. A
-/// thread only ever belongs to one pool, so a plain thread-local suffices.
-thread_local size_t tls_worker_index = SIZE_MAX;
-thread_local const void* tls_worker_pool = nullptr;
-
-}  // namespace
 
 size_t HardwareThreads() {
   const unsigned hw = std::thread::hardware_concurrency();
@@ -55,13 +47,9 @@ size_t ResolveThreadCount(size_t requested) {
 
 ThreadPool::ThreadPool(size_t num_threads) {
   const size_t n = num_threads == 0 ? 1 : num_threads;
-  queues_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    queues_.push_back(std::make_unique<Queue>());
-  }
   workers_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
   PSC_OBS_COUNTER_INC("exec.pools_created");
   PSC_OBS_GAUGE_SET("exec.pool_threads", n);
@@ -69,82 +57,39 @@ ThreadPool::ThreadPool(size_t num_threads) {
 
 ThreadPool::~ThreadPool() {
   {
-    sync::MutexLock lock(&wake_mutex_);
-    stopping_.store(true, std::memory_order_relaxed);
+    sync::MutexLock lock(&mutex_);
+    stopping_ = true;
   }
-  wake_cv_.NotifyAll();
+  wake_.NotifyAll();
   for (std::thread& worker : workers_) worker.join();
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
-  size_t target;
-  if (tls_worker_pool == this) {
-    target = tls_worker_index;  // nested spawn: stay local
-  } else {
-    target = next_queue_.fetch_add(1, std::memory_order_relaxed) %
-             queues_.size();
-  }
   {
-    sync::MutexLock lock(&queues_[target]->mutex);
-    queues_[target]->tasks.push_back(std::move(task));
+    sync::MutexLock lock(&mutex_);
+    queue_.push_back(std::move(task));
   }
-  unclaimed_.fetch_add(1, std::memory_order_release);
-  {
-    // Taking the wake mutex orders this notify against the predicate
-    // check inside the workers' wait, preventing lost wakeups.
-    sync::MutexLock lock(&wake_mutex_);
-  }
-  wake_cv_.NotifyOne();
+  wake_.NotifyOne();
   PSC_OBS_COUNTER_INC("exec.tasks_submitted");
 }
 
-bool ThreadPool::TryPopOwn(size_t index, std::function<void()>* task) {
-  Queue& queue = *queues_[index];
-  sync::MutexLock lock(&queue.mutex);
-  if (queue.tasks.empty()) return false;
-  *task = std::move(queue.tasks.front());
-  queue.tasks.pop_front();
-  return true;
-}
-
-bool ThreadPool::TrySteal(size_t thief, std::function<void()>* task) {
-  const size_t n = queues_.size();
-  for (size_t offset = 1; offset < n; ++offset) {
-    Queue& victim = *queues_[(thief + offset) % n];
-    sync::MutexLock lock(&victim.mutex);
-    if (victim.tasks.empty()) continue;
-    *task = std::move(victim.tasks.back());
-    victim.tasks.pop_back();
-    PSC_OBS_COUNTER_INC("exec.steals");
-    return true;
-  }
-  return false;
-}
-
-void ThreadPool::WorkerLoop(size_t index) {
-  tls_worker_index = index;
-  tls_worker_pool = this;
+void ThreadPool::WorkerLoop() {
   std::function<void()> task;
   while (true) {
-    if (TryPopOwn(index, &task) || TrySteal(index, &task)) {
-      unclaimed_.fetch_sub(1, std::memory_order_acquire);
-      const uint64_t started = obs::TraceNowMicros();
-      task();
-      task = nullptr;  // release captured state promptly
-      PSC_OBS_HISTOGRAM_RECORD("exec.task_micros",
-                               obs::TraceNowMicros() - started);
-      PSC_OBS_COUNTER_INC("exec.tasks_executed");
-      continue;
+    {
+      sync::MutexLock lock(&mutex_);
+      while (queue_.empty() && !stopping_) wake_.Wait(mutex_);
+      // A stopping pool still runs what was submitted before it stopped.
+      if (queue_.empty()) return;
+      task = std::move(queue_.front());
+      queue_.pop_front();
     }
-    sync::MutexLock lock(&wake_mutex_);
-    while (!stopping_.load(std::memory_order_relaxed) &&
-           unclaimed_.load(std::memory_order_acquire) == 0) {
-      wake_cv_.Wait(wake_mutex_);
-    }
-    if (stopping_.load(std::memory_order_relaxed) &&
-        unclaimed_.load(std::memory_order_acquire) == 0) {
-      return;
-    }
+    const uint64_t started = obs::TraceNowMicros();
+    task();
+    task = nullptr;  // release captured state promptly
+    PSC_OBS_HISTOGRAM_RECORD("exec.task_micros",
+                             obs::TraceNowMicros() - started);
+    PSC_OBS_COUNTER_INC("exec.tasks_executed");
   }
 }
 

@@ -2,33 +2,34 @@
 #define PSC_EXEC_THREAD_POOL_H_
 
 /// \file
-/// Work-stealing execution runtime for the solver stack.
+/// The thread pool behind the solvers' parallel loops.
 ///
 /// The paper's hard kernels are embarrassingly parallel at the top level:
 /// the Theorem 3.2 consistency search fans out over the allowable
 /// combinations U of Theorem 4.1, the signature/shape counters enumerate
 /// independent count-vector subtrees, and Monte-Carlo estimation shards
-/// trivially. `ThreadPool` gives them a shared substrate:
+/// trivially. They run as `ParallelFor` / `ParallelReduce` loops
+/// (parallel.h) on a `ThreadPool`:
 ///
 ///  * a fixed worker set (no dynamic growth; sized once at construction),
-///  * one task deque per worker — owners pop from the front, idle workers
-///    steal from the back of a victim's deque,
-///  * cooperative cancellation: `ParallelFor` / `ParallelReduce`
-///    (parallel.h) poll a `limits::CancelToken` between shards, so nothing
-///    is ever killed mid-flight,
-///  * metrics through `psc::obs`: pool gauge, task/steal counters and a
+///  * one FIFO of tasks under one lock. Every task the solvers submit is
+///    a loop's helper, which claims indices from its loop's shared
+///    counter, so the counter balances the work and the pool needs no
+///    per-worker queues or stealing,
+///  * cooperative cancellation: `ParallelFor` / `ParallelReduce` poll a
+///    `limits::CancelToken` between shards, so nothing is ever killed
+///    mid-flight,
+///  * metrics through `psc::obs`: pool gauge, task counters and a
 ///    task-latency histogram.
 ///
-/// Determinism contract: the pool itself makes no ordering promises; the
-/// `ParallelFor` / `ParallelReduce` facade (parallel.h) layers a
-/// deterministic shard-order merge on top so solver results are
+/// Determinism contract: tasks start in submission order but may finish
+/// in any order; the `ParallelFor` / `ParallelReduce` facade (parallel.h)
+/// layers a deterministic shard-order merge on top so solver results are
 /// reproducible regardless of thread count.
 
-#include <atomic>
-#include <cstdint>
+#include <cstddef>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -47,20 +48,20 @@ size_t HardwareThreads();
 /// positive `requested` is returned unchanged.
 size_t ResolveThreadCount(size_t requested);
 
-/// \brief Fixed-size work-stealing thread pool.
+/// \brief Fixed-size thread pool: one FIFO of tasks that every worker
+/// pops from.
 ///
 /// Tasks are arbitrary `std::function<void()>`; error propagation happens
 /// through whatever state the task closes over (the library is
-/// exception-free). Submission from worker threads lands on the
-/// submitter's own deque; external submissions are spread round-robin.
+/// exception-free). Workers start tasks in submission order, and a task
+/// may submit more.
 ///
-/// Destruction drains nothing: the destructor waits for every already
-/// submitted task to finish, then joins the workers. Do not submit from a
-/// task racing the destructor.
+/// The destructor lets the workers run every task already submitted,
+/// then joins them. Do not submit from a task racing the destructor.
 ///
-/// The solvers do not build pools: they run on `SharedPool`'s. A pool of
-/// one's own serves work that must not queue behind the solvers' (pscd's
-/// batch fan-out) and tests.
+/// Production code builds no pool of its own: the solvers and pscd's
+/// answer batches run on `SharedPool`'s. Tests and benches build pools of
+/// a fixed size.
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (clamped to >= 1).
@@ -71,31 +72,20 @@ class ThreadPool {
 
   ~ThreadPool();
 
-  size_t size() const { return queues_.size(); }
+  size_t size() const { return workers_.size(); }
 
   /// Enqueues `task` for execution. Thread-safe.
   void Submit(std::function<void()> task);
 
  private:
-  struct Queue {
-    sync::Mutex mutex{"exec.pool.queue", sync::kRankExecQueue};
-    std::deque<std::function<void()>> tasks PSC_GUARDED_BY(mutex);
-  };
+  /// Pops and runs tasks until the pool stops and the queue is empty.
+  void WorkerLoop();
 
-  void WorkerLoop(size_t index);
-  /// Pops from the front of the worker's own deque.
-  bool TryPopOwn(size_t index, std::function<void()>* task);
-  /// Steals from the back of another worker's deque.
-  bool TrySteal(size_t thief, std::function<void()>* task);
-
-  std::vector<std::unique_ptr<Queue>> queues_;
+  sync::Mutex mutex_{"exec.pool.queue", sync::kRankExecQueue};
+  sync::CondVar wake_;
+  std::deque<std::function<void()>> queue_ PSC_GUARDED_BY(mutex_);
+  bool stopping_ PSC_GUARDED_BY(mutex_) = false;
   std::vector<std::thread> workers_;
-  sync::Mutex wake_mutex_{"exec.pool.wake", sync::kRankExecWake};
-  sync::CondVar wake_cv_;
-  /// Tasks submitted but not yet claimed by a worker.
-  std::atomic<uint64_t> unclaimed_{0};
-  std::atomic<uint64_t> next_queue_{0};
-  std::atomic<bool> stopping_{false};
 };
 
 /// \brief The process's pool of `workers` threads; null when `workers` is

@@ -43,13 +43,12 @@ inline constexpr int kRankSearchOutcome = 60;  // consistency.search
 // eval/exec:: — solver-internal caches and the thread-pool runtime. Query
 // evaluation may populate the index cache or the containment memo while a
 // delta lock is held; the shared-pool registry is taken by solvers under
-// a delta lock and builds a pool (which emits metrics) while held; pool
-// queue locks nest inside everything that submits work.
+// a delta lock and builds a pool (which emits metrics) while held; the
+// pool's queue lock nests inside everything that submits work.
 inline constexpr int kRankEvalIndexCache = 70;  // eval.index_cache
 inline constexpr int kRankMemoShard = 75;       // exec.memo_shard
 inline constexpr int kRankExecRegistry = 78;    // exec.pool.registry
 inline constexpr int kRankExecQueue = 80;       // exec.pool.queue
-inline constexpr int kRankExecWake = 85;        // exec.pool.wake
 inline constexpr int kRankExecLatch = 90;       // exec.parallel.latch
 inline constexpr int kRankServeDone = 95;       // serve.engine.call_done
 

@@ -1,5 +1,6 @@
 #include "psc/counting/world_enumerator.h"
 
+#include <numeric>
 #include <set>
 #include <string>
 
@@ -138,6 +139,30 @@ TEST(WorldEnumeratorTest, EarlyStopHonored) {
   ASSERT_TRUE(completed.ok());
   EXPECT_FALSE(*completed);
   EXPECT_EQ(seen, 5);
+}
+
+TEST(WorldEnumeratorTest, RefusesAtTheFirstShapePastTheWorldBound) {
+  // One unconstrained source of 600 facts over 1,200 constants: two
+  // groups of 600 and 361,201 feasible shapes. The shape walk's running
+  // total passes kMaxWorlds at the fourth shape of its first last-group
+  // run (totals 1, 601, 180,301, 36,000,501), so the refusal needs a few
+  // nodes; a walk that stored every shape first would charge 602.
+  std::vector<int64_t> facts(600);
+  std::iota(facts.begin(), facts.end(), int64_t{0});
+  const SourceCollection collection =
+      MakeUnaryCollection({MakeUnarySource("S", facts, "0", "0")});
+  PSC_ASSERT_OK_AND_ASSIGN(
+      const IdentityInstance instance,
+      IdentityInstance::Create(collection, IntDomain(1200)));
+  IdentityWorldEnumerator enumerator(&instance);
+  auto completed = enumerator.ForEachWorldIds(
+      [](const std::vector<size_t>&) { return true; },
+      limits::Budget::WithNodeBudget(16));
+  ASSERT_FALSE(completed.ok());
+  EXPECT_EQ(completed.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(completed.status().message(),
+            "exact enumeration visits at most 4194304 worlds; poss(S) has "
+            "more");
 }
 
 TEST(WorldEnumeratorTest, WorldBudgetEnforced) {

@@ -124,7 +124,6 @@ SourceCollection MakeRandomProjectionCollection(Rng* rng) {
 void ExpectFreezeSearchMatchesSequential(const SourceCollection& collection,
                                          const std::string& label) {
   GeneralConsistencyChecker::Options options;
-  options.enable_exhaustive = false;  // isolate the freeze search
   options.threads = 1;
   auto sequential = GeneralConsistencyChecker(options).Check(collection);
   ASSERT_TRUE(sequential.ok()) << sequential.status().ToString();

@@ -185,7 +185,7 @@ TEST(RankTest, HierarchyConstantsAreStrictlyOrderedWhereNested) {
   EXPECT_LT(kRankDeltaData, kRankDeltaCache);         // apply → invalidate
   EXPECT_LT(kRankDeltaCache, kRankEvalIndexCache);    // rebuild touches eval
   EXPECT_LT(kRankDeltaCache, kRankMemoShard);         // rebuild touches memo
-  EXPECT_LT(kRankExecQueue, kRankObsMetrics);         // TrySteal counters
+  EXPECT_LT(kRankDeltaData, kRankExecQueue);          // a full check submits
   EXPECT_LT(kRankDeltaData, kRankExecRegistry);       // a full check fans out
   EXPECT_LT(kRankExecRegistry, kRankObsMetrics);      // pool creation counters
   EXPECT_LT(kRankObsScopeTrip, kRankObsScopeRegistry);

@@ -97,13 +97,15 @@ cmake --build "${asan_dir}" -j "${jobs}"
 
 # Repeat stage in the same ASan+UBSan build: a race that fails one run in
 # ten passes a single run by luck, so the budget and cancellation tests
-# of the core, limits, counting (consensus included) and exec suites, and
-# the shared-pool tests (nested loops, late helpers), run up to 50 times
-# each and stop at the first failure.
-echo "=== budget/cancellation and shared-pool tests x50 under ASan+UBSan -> ${asan_dir} ==="
+# of the core, limits, counting (consensus included) and exec suites, the
+# shared-pool tests (nested loops, late helpers), the pool and its loops
+# (ThreadPoolTest, ParallelForTest, ParallelReduceTest) and pscd's answer
+# batches sharing a pool with check fan-outs run up to 50 times each and
+# stop at the first failure.
+echo "=== budget/cancellation, pool and shared-pool tests x50 under ASan+UBSan -> ${asan_dir} ==="
 (cd "${asan_dir}" && ctest --output-on-failure -j "${jobs}" \
   --repeat until-fail:50 \
-  -R 'QuerySystemOptionsTest|NodeBudgetTest|Deadline.*Test|SignatureCounterTest|ConsensusTest\.Budget|ShardsCancelledTest|SharedPoolTest')
+  -R 'QuerySystemOptionsTest|NodeBudgetTest|Deadline.*Test|SignatureCounterTest|ConsensusTest\.Budget|ShardsCancelledTest|SharedPoolTest|ThreadPoolTest|ParallelForTest|ParallelReduceTest|ServeConcurrencyTest\.AnswerBatchesShareThePoolWithCheckFanOuts')
 
 # Debug build: rank checking defaults ON there (see
 # src/psc/sync/mutex.cc RankCheckingDefault), so running the
@@ -186,17 +188,18 @@ run_smoke "psc check (projection views)" \
 # ground-merge candidate of combination 0, which runs inline.
 run_smoke "psc check (climatology)" \
   "${smoke_build}/tools/psc" check data/climatology.psc
-# Combination 0 fails here (B's exact R2 forbids a second fact) and
-# combination 1 is the witness, so --threads 4 runs combination 0 inline
-# and then fans out onto the pool.
+# Combination 0 fails here (B's exact R2 forbids a second fact) and the
+# first witness is combination 57 of 64, so --threads 4 runs combination
+# 0 inline and then fans four 16-combination blocks out onto the pool
+# (fewer than two blocks would run inline).
 fanout_input="$(mktemp)"
 trap 'rm -f "${smoke_input}" "${fanout_input}"' EXIT
 cat > "${fanout_input}" <<'EOF'
 source A {
   view: V(x) <- R2(x, y)
   completeness: 0
-  soundness: 1/2
-  facts: V("a"), V("b")
+  soundness: 0
+  facts: V("a"), V("b"), V("c"), V("d"), V("e"), V("f")
 }
 source B {
   view: W(x, y) <- R2(x, y)
@@ -502,4 +505,4 @@ python3 tools/check_metrics_schema.py \
   "${telemetry_metrics}"
 python3 tools/psc_trace_summary.py --k 5 "${telemetry_trace}"
 
-echo "ci matrix passed: lint, PSC_OBS on/off, TSan, ASan+UBSan (and its x50 budget/cancellation and shared-pool repeat), Debug lock-rank checks, clang stages (or skipped), --threads equivalence, certain on inconsistent input, deadline degradation, exact-enumeration refusal, query-scoped telemetry, incremental-delta and resident-serving smokes green"
+echo "ci matrix passed: lint, PSC_OBS on/off, TSan, ASan+UBSan (and its x50 budget/cancellation, pool and shared-pool repeat), Debug lock-rank checks, clang stages (or skipped), --threads equivalence, certain on inconsistent input, deadline degradation, exact-enumeration refusal, query-scoped telemetry, incremental-delta and resident-serving smokes green"
